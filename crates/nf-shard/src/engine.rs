@@ -1,8 +1,8 @@
 //! The sharded execution engine.
 //!
-//! A [`ShardEngine`] runs one NF — either its NFL interpreter or its
-//! synthesized model ([`Backend`]) — across `n` worker shards, placing
-//! state as the [`ShardPlan`] dictates:
+//! A [`ShardEngine`] runs one NF — its NFL interpreter, its synthesized
+//! model, or the compiled model ([`Backend`]) — across `n` shards,
+//! placing state as the [`ShardPlan`] dictates:
 //!
 //! * **Partitioned** plans steer each packet to the shard its dispatch
 //!   hash picks; every shard owns an independent copy of the program
@@ -11,27 +11,29 @@
 //!   There is deliberately **no work stealing**: stealing a packet
 //!   would move it away from the shard that owns its flow state, which
 //!   is exactly the locality the dispatch hash exists to preserve.
-//! * **Global-lock** plans (shared state) run one program instance
-//!   behind a ticket lock: workers take packets round-robin but process
-//!   them in global arrival order, so the result is bit-identical to a
-//!   single-threaded run — correct, serialised, and measured as such.
+//! * **Global-lock** plans (shared state) run one program instance on
+//!   the dispatcher thread, in arrival order, in every run mode. Packets
+//!   still go round-robin to `n` *virtual* shards, which keep their own
+//!   packet counts, busy time, telemetry, fault addressing
+//!   (`shard:nth`) and restart streaks, so the result is bit-identical
+//!   to a single-shard run without threads that only take turns.
 //!
 //! After a run, per-shard states are merged back into one view
 //! ([`ShardRun::merged`]): partitioned maps union (their key sets are
 //! disjoint by construction — a collision is reported as an engine
 //! bug), log-only counters sum their per-shard deltas, and replicated
-//! state is checked untouched.
+//! state is checked untouched. A global-lock run's single state goes
+//! through the same merge.
 //!
 //! All execution goes through one entry point,
-//! [`ShardEngine::run_with`], which pulls packets from a streaming
-//! [`WorkloadSource`] in configurable batches ([`BatchConfig`]): the
-//! dispatcher hashes and bins a whole batch before a single ring push
-//! per shard, and workers drain whole bins between telemetry flushes.
-//! [`RunMode`] selects threaded execution (real `std::thread` workers
-//! over SPSC rings), sequential (the same dispatch executed on one
-//! thread with per-shard busy-time accounting — deterministic
-//! makespan measurement for single-core hosts), or the one-shard
-//! reference run.
+//! [`ShardEngine::run_with`], and one dispatch loop. The dispatcher
+//! pulls packets from a streaming [`WorkloadSource`] in configurable
+//! batches ([`BatchConfig`]), assigns arrival seqs, routes them, and
+//! hands them to one of two transports: SPSC rings feeding one worker
+//! thread per shard ([`RunMode::Threaded`] on a partitioned plan, one
+//! ring push per shard bin), or inline evaluation on the dispatcher
+//! thread (sequential and single runs, and every global-lock run).
+//! Both transports run the same per-packet worker step.
 //!
 //! With [`BatchConfig::rebalance`] a partitioned dispatcher also
 //! counters skew: when a shard's queue stays above the high-water mark
@@ -54,7 +56,7 @@
 //! byte-identical to the fault-free run.
 
 use crate::dispatch::{dispatch_hash, dispatch_values};
-use crate::plan::{PlanMode, ShardPlan};
+use crate::plan::ShardPlan;
 use crate::telemetry::{FlightOutcome, RunStats, ShardStats, TelemetryConfig, WorkerTelemetry};
 use crate::supervise::{
     panic_message, quiet_catch_unwind, scramble_packet, Quarantine, QuarantineRecord,
@@ -66,19 +68,23 @@ use nf_packet::Packet;
 use nf_support::fault::{FaultKind, FaultPlan};
 use nf_support::sketch::TopK;
 use nf_support::spsc::{Backoff, Producer, TrySendError};
-use nf_support::workload::{SliceSource, WorkloadSource};
+use nf_support::workload::WorkloadSource;
 use nf_trace::{Histogram, Tracer};
 use nfactor_core::{Pipeline, Synthesis};
 use nfl_interp::{Interp, Value, ValueKey};
-use nfl_lint::{ShardingReport, StateShard};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use nfl_lint::{DispatchKey, ShardingReport, StateShard};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Ring capacity per worker; deep enough to absorb dispatch bursts,
 /// shallow enough to bound memory.
 const RING_CAP: usize = 1024;
+
+/// Seen-flow table capacity of the skew rebalancer. When the table is
+/// full, migration stops and new flows route by pure hash — bounded
+/// memory, still sound.
+const REBALANCE_TABLE_CAP: usize = 65_536;
 
 /// Bounds for the `shard.N.batch.fill` histogram: how full dispatch
 /// bins are when pushed over a ring (1 = degenerate per-packet
@@ -89,26 +95,8 @@ const BATCH_FILL_BOUNDS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// pushed over the ring as a unit.
 type Bin = Vec<(u64, u64, Packet)>;
 
-/// Sentinel error a global-lock worker returns when it bailed out
-/// because *another* shard poisoned the ticket; filtered at join time
-/// in favour of the root cause.
-const ABORTED: &str = "aborted: another shard failed";
-
-/// Poisons the ticket counter unless disarmed — so a worker that exits
-/// abnormally (error return or panic) can never leave its peers
-/// spinning on a ticket that will not come.
-struct PoisonTicket {
-    turn: Arc<AtomicU64>,
-    armed: bool,
-}
-
-impl Drop for PoisonTicket {
-    fn drop(&mut self) {
-        if self.armed {
-            self.turn.store(u64::MAX, Ordering::Release);
-        }
-    }
-}
+/// A by-name snapshot of one state instance's persistent state.
+type Snapshot = BTreeMap<String, Value>;
 
 /// What executes on each shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,7 +145,9 @@ impl std::error::Error for ShardError {}
 /// How [`ShardEngine::run_with`] executes the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// Real `std::thread` workers fed over SPSC rings.
+    /// Real `std::thread` workers fed over SPSC rings. Only a
+    /// partitioned plan has work to spread; a global-lock plan runs
+    /// inline on one evaluator, as in [`RunMode::Sequential`].
     Threaded,
     /// The same dispatch executed on one thread with per-shard
     /// busy-time accounting — the deterministic way to measure
@@ -177,13 +167,9 @@ pub struct BatchConfig {
     /// shards (partitioned plans only; a no-op under the global lock).
     pub rebalance: bool,
     /// Queue-depth high-water mark that opens a divert; `0` picks a
-    /// mode-appropriate default (3/4 of the ring in bins for threaded
-    /// runs, 3/4 of the batch size for sequential ones).
+    /// transport-appropriate default (3/4 of the ring in bins for
+    /// threaded runs, 3/4 of the batch size for inline ones).
     pub high_water: u64,
-    /// Seen-flow table capacity. When the table is full, migration
-    /// stops and new flows route by pure hash — bounded memory, still
-    /// sound.
-    pub table_cap: usize,
 }
 
 impl Default for BatchConfig {
@@ -192,13 +178,11 @@ impl Default for BatchConfig {
             size: 32,
             rebalance: false,
             high_water: 0,
-            table_cap: 65_536,
         }
     }
 }
 
-/// The unified run configuration for [`ShardEngine::run_with`] — the
-/// one knob surface that replaced the six `run*` entry points.
+/// The run configuration for [`ShardEngine::run_with`].
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Execution mode: threaded, sequential, or single-shard.
@@ -633,85 +617,6 @@ fn send_bin(
     result
 }
 
-/// Flush one dispatch bin: record its fill, push it over the ring, and
-/// account a whole-bin drop past the policy deadline. `Err(())` means
-/// the worker is gone.
-#[allow(clippy::too_many_arguments)]
-fn flush_bin(
-    bin: &mut Bin,
-    batch: usize,
-    tx: &Producer<Bin>,
-    policy: &SupervisorPolicy,
-    retries: &mut u64,
-    wait_ns: &mut u64,
-    fill: Option<&mut Histogram>,
-    dropped_seqs: &mut Vec<u64>,
-    dropped_shard: &mut u64,
-) -> Result<(), ()> {
-    if bin.is_empty() {
-        return Ok(());
-    }
-    if let Some(h) = fill {
-        h.observe(bin.len() as u64);
-    }
-    let out = std::mem::replace(bin, Vec::with_capacity(batch));
-    let seqs: Vec<u64> = out.iter().map(|(s, _, _)| *s).collect();
-    match send_bin(tx, out, policy, retries, wait_ns)? {
-        true => Ok(()),
-        false => {
-            *dropped_shard += seqs.len() as u64;
-            dropped_seqs.extend(seqs);
-            Ok(())
-        }
-    }
-}
-
-/// [`flush_bin`] for the global-lock dispatcher, which must also mark
-/// any dropped seq as skipped and advance the ticket turn past it so
-/// later packets are not deadlocked behind a hole in the order.
-#[allow(clippy::too_many_arguments)]
-fn flush_bin_global(
-    bin: &mut Bin,
-    batch: usize,
-    tx: &Producer<Bin>,
-    policy: &SupervisorPolicy,
-    retries: &mut u64,
-    wait_ns: &mut u64,
-    fill: Option<&mut Histogram>,
-    dropped_seqs: &mut Vec<u64>,
-    dropped_shard: &mut u64,
-    skipped: &Mutex<BTreeSet<u64>>,
-    turn: &AtomicU64,
-) -> Result<(), ()> {
-    let before = dropped_seqs.len();
-    flush_bin(bin, batch, tx, policy, retries, wait_ns, fill, dropped_seqs, dropped_shard)?;
-    for &seq in &dropped_seqs[before..] {
-        skipped.lock().unwrap_or_else(|e| e.into_inner()).insert(seq);
-        let _ = turn.compare_exchange(seq, seq + 1, Ordering::AcqRel, Ordering::Acquire);
-    }
-    Ok(())
-}
-
-/// The default divert high-water mark for threaded runs: 3/4 of the
-/// ring depth, measured in bins.
-fn threaded_high_water(cfg: &BatchConfig, ring_bins: usize) -> u64 {
-    if cfg.high_water > 0 {
-        cfg.high_water
-    } else {
-        (ring_bins as u64 * 3 / 4).max(1)
-    }
-}
-
-/// The default divert high-water mark for sequential runs, where the
-/// load signal is per-round bin fill: 3/4 of the batch size.
-fn sequential_high_water(cfg: &BatchConfig, batch: usize) -> u64 {
-    if cfg.high_water > 0 {
-        cfg.high_water
-    } else {
-        (batch as u64 * 3 / 4).max(1)
-    }
-}
-
 /// Whether a shard's hot-key sketch proves a genuine heavy hitter: the
 /// top entry's count lower bound (count − err) must clear the sketch's
 /// tracking guarantee, so mere uniform load never opens a divert.
@@ -737,7 +642,6 @@ struct Rebalancer {
     high_water: u64,
     /// flow hash → (pinned shard, epoch the pin was made in).
     table: HashMap<u64, (usize, u64)>,
-    cap: usize,
     /// Open divert per shard: new flows hashing there go to the target.
     divert: Vec<Option<usize>>,
     epoch: u64,
@@ -745,12 +649,11 @@ struct Rebalancer {
 }
 
 impl Rebalancer {
-    fn new(cfg: &BatchConfig, shards: usize, high_water: u64, allowed: bool) -> Rebalancer {
+    fn new(enabled: bool, shards: usize, high_water: u64) -> Rebalancer {
         Rebalancer {
-            enabled: cfg.rebalance && allowed && shards > 1,
+            enabled,
             high_water,
             table: HashMap::new(),
-            cap: cfg.table_cap.max(1),
             divert: vec![None; shards],
             epoch: 0,
             migrations: 0,
@@ -766,7 +669,7 @@ impl Rebalancer {
         if let Some(&(shard, _)) = self.table.get(&hash) {
             return shard;
         }
-        if self.table.len() >= self.cap {
+        if self.table.len() >= REBALANCE_TABLE_CAP {
             // Table full: this flow routes by hash forever — stable,
             // so still sound. Do not insert.
             return hash_shard;
@@ -827,28 +730,135 @@ fn simulate_dispatch(forced: u64, policy: &SupervisorPolicy, retries: &mut u64) 
     true
 }
 
-/// Per-shard supervision bookkeeping wrapped around one shard's
-/// [`BackendState`]: the quarantine buffer, the consecutive-failure
-/// streak, and restart accounting.
+/// The front end every run mode shares: routes each arrival (dispatch
+/// hash plus rebalancer on a partitioned plan, round-robin over the
+/// virtual shards under a global lock), keeps the per-shard ordinal
+/// that fault plans address, applies dispatch-side faults, and records
+/// the hot-key sketches, bin fill and dispatch-drop accounting.
+struct Dispatcher<'a> {
+    n: usize,
+    batch: usize,
+    /// `None` under a global-lock plan.
+    key: Option<&'a DispatchKey>,
+    faults: &'a FaultPlan,
+    policy: SupervisorPolicy,
+    rebalancer: Rebalancer,
+    /// Packets routed to each shard so far (the next one's `nth`).
+    steered: Vec<u64>,
+    /// Per-shard load at the batch boundary: packets routed this round
+    /// (inline), or bins queued on the ring (threaded).
+    loads: Vec<u64>,
+    retries: Vec<u64>,
+    dropped_seqs: Vec<u64>,
+    dropped_per_shard: Vec<u64>,
+    sketches: Vec<TopK<Vec<u64>>>,
+    fill: Vec<Histogram>,
+    /// Ring-full backoff time within `dispatch_ns`.
+    wait_ns: u64,
+    /// Dispatcher wall clock minus inline eval time.
+    dispatch_ns: u64,
+}
+
+impl Dispatcher<'_> {
+    /// The shard an arrival goes to.
+    fn route(&mut self, seq: u64, pkt: &Packet) -> usize {
+        let Some(key) = self.key else {
+            return (seq % self.n as u64) as usize;
+        };
+        let w = if self.n > 1 {
+            let h = dispatch_hash(key, pkt);
+            self.rebalancer.route(h, (h % self.n as u64) as usize)
+        } else {
+            0
+        };
+        if !self.sketches.is_empty() {
+            self.sketches[w].offer(dispatch_values(key, pkt));
+        }
+        w
+    }
+
+    /// Flush shard `w`'s bin: record its fill, push it over the ring,
+    /// and account a whole-bin drop past the policy deadline. `Err(())`
+    /// means the worker is gone.
+    fn flush(&mut self, w: usize, bin: &mut Bin, tx: &Producer<Bin>) -> Result<(), ()> {
+        if bin.is_empty() {
+            return Ok(());
+        }
+        if let Some(h) = self.fill.get_mut(w) {
+            h.observe(bin.len() as u64);
+        }
+        let out = std::mem::replace(bin, Vec::with_capacity(self.batch));
+        let seqs: Vec<u64> = out.iter().map(|(s, _, _)| *s).collect();
+        if !send_bin(
+            tx,
+            out,
+            &self.policy,
+            &mut self.retries[w],
+            &mut self.wait_ns,
+        )? {
+            self.dropped_per_shard[w] += seqs.len() as u64;
+            self.dropped_seqs.extend(seqs);
+        }
+        Ok(())
+    }
+}
+
+/// Where the dispatcher hands routed packets.
+enum Transport<'a> {
+    /// One SPSC ring per worker thread, fed whole bins: threaded runs
+    /// of a partitioned plan.
+    Rings {
+        tx: Vec<Producer<Bin>>,
+        bins: Vec<Bin>,
+    },
+    /// Evaluated on the dispatcher thread as they arrive: sequential
+    /// and single runs, and every global-lock run, whose virtual shards
+    /// all step one state (`states.len() == 1`) in arrival order.
+    Inline {
+        workers: &'a mut [ShardWorker],
+        states: &'a mut [BackendState],
+    },
+}
+
+/// The back end every run mode shares: one shard's supervised
+/// per-packet step and everything it accounts — retained outputs,
+/// packet and busy-time counters, the quarantine buffer, the
+/// consecutive-failure streak, restarts, fallbacks and telemetry. The
+/// program state it steps is passed in, so a global-lock plan's
+/// virtual shards can share one [`BackendState`].
 struct ShardWorker {
     shard: usize,
-    state: BackendState,
     model: Option<Arc<Model>>,
     fallback: Option<Arc<(Model, ModelState)>>,
     faults: FaultPlan,
     policy: SupervisorPolicy,
     label: &'static str,
+    keep_outputs: bool,
+    outputs: Vec<SeqOutput>,
+    pkts: u64,
+    busy_ns: u64,
+    forwarded: u64,
     quarantine: Quarantine,
     fail_streak: u32,
     restarts: u64,
     fallbacks: u64,
+    tel: Option<WorkerTelemetry>,
 }
 
 impl ShardWorker {
-    /// Supervised processing of one packet; `None` means quarantined.
-    fn process(&mut self, seq: u64, nth: u64, pkt: &Packet) -> Option<(Vec<Packet>, bool)> {
-        match supervised_step(
-            &mut self.state,
+    /// Evaluate one packet on `state` under supervision and book the
+    /// outcome; the whole step is timed on the tracer's clock.
+    fn step(
+        &mut self,
+        state: &mut BackendState,
+        tracer: &Tracer,
+        seq: u64,
+        nth: u64,
+        pkt: &Packet,
+    ) {
+        let t0 = tracer.now();
+        let stepped = match supervised_step(
+            state,
             self.model.as_deref(),
             self.fallback.as_deref(),
             self.shard,
@@ -871,36 +881,37 @@ impl ShardWorker {
                 });
                 self.fail_streak += 1;
                 if self.fail_streak >= self.policy.restart_after {
-                    self.state.refresh();
+                    state.refresh();
                     self.restarts += 1;
                     self.fail_streak = 0;
                 }
                 None
             }
+        };
+        let step_ns = tracer.now().saturating_duration_since(t0).as_nanos() as u64;
+        self.busy_ns += step_ns;
+        if let Some(tel) = self.tel.as_mut() {
+            let outcome = match &stepped {
+                Some((_, false)) => FlightOutcome::Forwarded,
+                Some((_, true)) => FlightOutcome::Dropped,
+                None => FlightOutcome::Quarantined,
+            };
+            tel.record(seq, step_ns, outcome, pkt);
+            tel.maybe_flush(tracer);
         }
-    }
-
-    fn into_out(
-        self,
-        outputs: Vec<SeqOutput>,
-        pkts: u64,
-        busy_ns: u64,
-        forwarded: u64,
-        stats: Option<ShardStats>,
-    ) -> WorkerOut {
-        let snapshot = self.state.snapshot();
-        let (quarantined, quarantined_seqs) = self.quarantine.into_parts();
-        WorkerOut {
-            outputs,
-            snapshot,
-            pkts,
-            busy_ns,
-            forwarded,
-            quarantined,
-            quarantined_seqs,
-            restarts: self.restarts,
-            fallbacks: self.fallbacks,
-            stats,
+        if let Some((outputs, dropped)) = stepped {
+            self.pkts += 1;
+            if !dropped {
+                self.forwarded += 1;
+            }
+            if self.keep_outputs {
+                self.outputs.push(SeqOutput {
+                    seq,
+                    shard: self.shard,
+                    outputs,
+                    dropped,
+                });
+            }
         }
     }
 }
@@ -931,7 +942,9 @@ pub struct ShardRun {
     pub per_shard_pkts: Vec<u64>,
     /// Busy (processing) nanoseconds per shard.
     pub busy_ns: Vec<u64>,
-    /// Whether shards ran without cross-shard locking.
+    /// Whether the plan partitioned state across shards. `false` for a
+    /// global-lock plan, whose virtual shards stepped one shared state
+    /// in arrival order.
     pub partitioned: bool,
     /// Retained quarantine records, bounded by the policy's cap.
     pub quarantined: Vec<QuarantineRecord>,
@@ -953,9 +966,10 @@ pub struct ShardRun {
     /// New flows the skew-aware rebalancer migrated off overloaded
     /// shards (0 when rebalancing is off).
     pub migrations: u64,
-    /// Wall-clock nanoseconds the dispatcher thread spent from first
-    /// to last packet (threaded modes; 0 when dispatch is inlined
-    /// into the worker loop, as in sequential and single modes).
+    /// Dispatcher wall-clock nanoseconds from the first source pull to
+    /// the last packet handed on, minus the time spent evaluating
+    /// packets inline on the dispatcher thread; measured the same way
+    /// in every mode, on the tracer's clock.
     pub dispatch_ns: u64,
     /// The share of [`ShardRun::dispatch_ns`] spent in bounded backoff
     /// on full rings — worker-bound time, not dispatch work.
@@ -1041,10 +1055,7 @@ impl ShardRun {
         Some(J::Object(vec![
             ("packets".into(), int(self.total_pkts())),
             ("offered".into(), int(self.offered())),
-            (
-                "partitioned".into(),
-                J::Str(if self.partitioned { "true" } else { "false" }.into()),
-            ),
+            ("partitioned".into(), J::Bool(self.partitioned)),
             ("quarantined".into(), int(faults.quarantined)),
             ("dropped".into(), int(faults.dropped)),
             ("restarts".into(), int(faults.restarts)),
@@ -1055,20 +1066,6 @@ impl ShardRun {
             ("telemetry".into(), stats.to_json(&self.per_shard_pkts, &self.busy_ns)),
         ]))
     }
-}
-
-/// What one worker hands back at join time.
-struct WorkerOut {
-    outputs: Vec<SeqOutput>,
-    snapshot: BTreeMap<String, Value>,
-    pkts: u64,
-    busy_ns: u64,
-    forwarded: u64,
-    quarantined: Vec<QuarantineRecord>,
-    quarantined_seqs: Vec<u64>,
-    restarts: u64,
-    fallbacks: u64,
-    stats: Option<ShardStats>,
 }
 
 /// A sharded runtime instance for one NF.
@@ -1237,1122 +1234,346 @@ impl ShardEngine {
         self.telemetry.enabled && self.tracer.is_enabled()
     }
 
-    /// The unified entry point: pull packets from `source` in
+    /// The one entry point: pull packets from `source` in
     /// [`BatchConfig::size`] batches and execute them per `cfg` —
     /// threaded, sequential, or the single-shard reference; fault-free
     /// or under a deterministic [`FaultPlan`]; with or without
     /// per-packet output retention and skew-aware rebalancing.
+    ///
+    /// Every mode runs the same dispatcher and the same per-packet
+    /// worker step. Only a threaded run of a partitioned plan moves
+    /// packets over rings to worker threads; everything else — and
+    /// every global-lock plan, whose state is shared — is evaluated
+    /// inline on the calling thread, in arrival order.
     pub fn run_with<S>(&self, source: S, cfg: &RunConfig) -> Result<ShardRun, ShardError>
     where
         S: WorkloadSource<Item = Packet>,
     {
         let mut source = source;
-        let faults = cfg.fault_plan.clone().unwrap_or_else(FaultPlan::new);
-        match (cfg.mode, self.plan.mode().clone()) {
-            (RunMode::Threaded, PlanMode::Partitioned(key)) => {
-                self.run_partitioned_threaded(&key, &mut source, &faults, cfg)
-            }
-            (RunMode::Threaded, PlanMode::GlobalLock) => {
-                self.run_global_threaded(&mut source, &faults, cfg)
-            }
-            (RunMode::Sequential, PlanMode::Partitioned(_)) => {
-                self.run_sequential_n(self.shards, &mut source, &faults, cfg)
-            }
-            (RunMode::Sequential, PlanMode::GlobalLock) => {
-                self.run_global_sequential(&mut source, &faults, cfg)
-            }
-            (RunMode::Single, _) => self.run_sequential_n(1, &mut source, &faults, cfg),
+        let faults = cfg.fault_plan.clone().unwrap_or_default();
+        let n = if cfg.mode == RunMode::Single {
+            1
+        } else {
+            self.shards
+        };
+        let key = self.plan.dispatch();
+        let batch = cfg.batch.size.max(1);
+        let threaded = cfg.mode == RunMode::Threaded && key.is_some();
+        let ring_bins = (RING_CAP / batch).max(2);
+        // The divert high-water mark is in the transport's load unit:
+        // bins queued on a ring, or packets routed in one round.
+        let high_water = match cfg.batch.high_water {
+            0 if threaded => (ring_bins as u64 * 3 / 4).max(1),
+            0 => (batch as u64 * 3 / 4).max(1),
+            h => h,
+        };
+        let telemetry_on = self.telemetry_on();
+        let rebalancer =
+            Rebalancer::new(cfg.batch.rebalance && key.is_some() && n > 1, n, high_water);
+        // The dispatcher-side hot-key sketches serve both the telemetry
+        // plane and the rebalancer's divert decision; a global-lock
+        // plan has no dispatch key, so its profile is empty.
+        let sketches = if key.is_some() && (telemetry_on || rebalancer.enabled) {
+            (0..n)
+                .map(|_| TopK::new(self.telemetry.hotkeys_k))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        let fill = if telemetry_on {
+            (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
+        } else {
+            Vec::new()
+        };
+        let mut d = Dispatcher {
+            n,
+            batch,
+            key,
+            faults: &faults,
+            policy: self.policy,
+            rebalancer,
+            steered: vec![0; n],
+            loads: vec![0; n],
+            retries: vec![0; n],
+            dropped_seqs: Vec::new(),
+            dropped_per_shard: vec![0; n],
+            sketches,
+            fill,
+            wait_ns: 0,
+            dispatch_ns: 0,
+        };
+        let mut workers: Vec<ShardWorker> = (0..n)
+            .map(|w| self.shard_worker(w, &faults, cfg.keep_outputs, telemetry_on))
+            .collect();
+        let (snapshots, source_err) = if threaded {
+            self.run_rings(&mut source, &mut d, &mut workers, ring_bins)?
+        } else {
+            // A global-lock plan's virtual shards share one state.
+            let mut states = vec![self.proto.clone(); if key.is_some() { n } else { 1 }];
+            let source_err = self.dispatch(
+                &mut source,
+                &mut d,
+                &mut Transport::Inline {
+                    workers: &mut workers,
+                    states: &mut states,
+                },
+            );
+            (
+                states.iter().map(BackendState::snapshot).collect(),
+                source_err,
+            )
+        };
+        if let Some(e) = source_err {
+            return Err(ShardError::Workload(e));
         }
-    }
-
-    /// Run threaded over an in-memory slice.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::threaded())")]
-    pub fn run(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::threaded())
-    }
-
-    /// Run threaded under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::threaded().with_faults(..)")]
-    pub fn run_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::threaded().with_faults(faults.clone()),
-        )
-    }
-
-    /// Run the sharded dispatch sequentially on one thread.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::sequential())")]
-    pub fn run_sequential(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::sequential())
-    }
-
-    /// Run sequentially under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::sequential().with_faults(..)")]
-    pub fn run_sequential_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::sequential().with_faults(faults.clone()),
-        )
-    }
-
-    /// The one-shard reference run.
-    #[deprecated(note = "use run_with(SliceSource::new(packets), &RunConfig::single())")]
-    pub fn run_single(&self, packets: &[Packet]) -> Result<ShardRun, ShardError> {
-        self.run_with(SliceSource::new(packets), &RunConfig::single())
-    }
-
-    /// The one-shard reference run under a fault plan.
-    #[deprecated(note = "use run_with with RunConfig::single().with_faults(..)")]
-    pub fn run_single_faulted(
-        &self,
-        packets: &[Packet],
-        faults: &FaultPlan,
-    ) -> Result<ShardRun, ShardError> {
-        self.run_with(
-            SliceSource::new(packets),
-            &RunConfig::single().with_faults(faults.clone()),
-        )
+        self.assemble(workers, &snapshots, d)
     }
 
     /// A fresh supervised worker for shard `shard`.
-    fn shard_worker(&self, shard: usize, faults: &FaultPlan) -> ShardWorker {
+    fn shard_worker(
+        &self,
+        shard: usize,
+        faults: &FaultPlan,
+        keep_outputs: bool,
+        telemetry_on: bool,
+    ) -> ShardWorker {
+        let label = self.proto.label();
         ShardWorker {
             shard,
-            state: self.proto.clone(),
             model: self.model.clone(),
             fallback: self.fallback.clone(),
             faults: faults.clone(),
             policy: self.policy,
-            label: self.proto.label(),
+            label,
+            keep_outputs,
+            outputs: Vec::new(),
+            pkts: 0,
+            busy_ns: 0,
+            forwarded: 0,
             quarantine: Quarantine::new(self.policy.quarantine_cap),
             fail_streak: 0,
             restarts: 0,
             fallbacks: 0,
+            tel: telemetry_on.then(|| WorkerTelemetry::new(shard, label, &self.telemetry)),
         }
     }
 
-    fn run_partitioned_threaded(
+    /// The ring transport: one worker thread per shard, each owning
+    /// its state and draining whole bins, while this thread
+    /// dispatches. Returns the per-shard state snapshots (taken on the
+    /// workers) and the source's mid-stream error, if any.
+    fn run_rings(
         &self,
-        key: &nfl_lint::DispatchKey,
         source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let policy = self.policy;
-        let telemetry_on = self.telemetry_on();
-        let cfg = self.telemetry;
-        let batch = run_cfg.batch.size.max(1);
-        let ring_bins = (RING_CAP / batch).max(2);
-        let keep_outputs = run_cfg.keep_outputs;
-        let mut rebalancer = Rebalancer::new(
-            &run_cfg.batch,
-            n,
-            threaded_high_water(&run_cfg.batch, ring_bins),
-            n > 1,
-        );
-        type ScopeOut = (
-            Vec<WorkerOut>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<u64>,
-            Vec<TopK<Vec<u64>>>,
-            u64,
-            u64,
-        );
-        let (outs, retries, dropped_seqs, dropped_per_shard, sketches, dispatch_ns, dispatch_wait_ns) =
-            std::thread::scope(|scope| -> Result<ScopeOut, ShardError> {
-                let mut producers = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for w in 0..n {
-                    let (tx, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
-                    producers.push(tx);
-                    let mut worker = self.shard_worker(w, faults);
-                    let tracer = self.tracer.clone();
-                    let label = self.proto.label();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("nf-shard-{w}"))
-                        .spawn_scoped(scope, move || -> WorkerOut {
-                            let mut outputs = Vec::new();
-                            let (mut pkts, mut busy_ns) = (0u64, 0u64);
-                            let mut forwarded = 0u64;
-                            let wait_name = format!("shard.{w}.ring.wait.ns");
-                            let mut tel =
-                                telemetry_on.then(|| WorkerTelemetry::new(w, label, &cfg));
-                            loop {
-                                let wait = tracer.now();
-                                let Some(bin) = rx.recv() else { break };
-                                tracer.observe_ns(
-                                    &wait_name,
-                                    tracer.now().saturating_duration_since(wait).as_nanos()
-                                        as u64,
-                                );
-                                if let Some(tel) = tel.as_mut() {
-                                    // Bins still queued after this
-                                    // dequeue — the backlog signal.
-                                    tel.occupancy(rx.len() as u64);
-                                }
-                                for (seq, nth, pkt) in bin {
-                                    let t0 = tracer.now();
-                                    let step = worker.process(seq, nth, &pkt);
-                                    let step_ns = tracer
-                                        .now()
-                                        .saturating_duration_since(t0)
-                                        .as_nanos() as u64;
-                                    busy_ns += step_ns;
-                                    if let Some(tel) = tel.as_mut() {
-                                        let outcome = match &step {
-                                            Some((_, false)) => FlightOutcome::Forwarded,
-                                            Some((_, true)) => FlightOutcome::Dropped,
-                                            None => FlightOutcome::Quarantined,
-                                        };
-                                        tel.record(seq, step_ns, outcome, &pkt);
-                                        tel.maybe_flush(&tracer);
-                                    }
-                                    if let Some((outs, dropped)) = step {
-                                        pkts += 1;
-                                        if !dropped {
-                                            forwarded += 1;
-                                        }
-                                        if keep_outputs {
-                                            outputs.push(SeqOutput {
-                                                seq,
-                                                shard: w,
-                                                outputs: outs,
-                                                dropped,
-                                            });
-                                        }
-                                    }
-                                }
+        d: &mut Dispatcher<'_>,
+        workers: &mut Vec<ShardWorker>,
+        ring_bins: usize,
+    ) -> Result<(Vec<Snapshot>, Option<String>), ShardError> {
+        std::thread::scope(|scope| {
+            let mut tx = Vec::with_capacity(d.n);
+            let mut handles = Vec::with_capacity(d.n);
+            for mut worker in workers.drain(..) {
+                let (producer, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
+                tx.push(producer);
+                let w = worker.shard;
+                let mut state = self.proto.clone();
+                let tracer = self.tracer.clone();
+                let handle = std::thread::Builder::new()
+                    .name(format!("nf-shard-{w}"))
+                    .spawn_scoped(scope, move || {
+                        let wait_name = format!("shard.{w}.ring.wait.ns");
+                        loop {
+                            let wait = tracer.now();
+                            let Some(bin) = rx.recv() else { break };
+                            tracer.observe_ns(
+                                &wait_name,
+                                tracer.now().saturating_duration_since(wait).as_nanos() as u64,
+                            );
+                            if let Some(tel) = worker.tel.as_mut() {
+                                // Bins still queued after this dequeue —
+                                // the backlog signal.
+                                tel.occupancy(rx.len() as u64);
                             }
-                            tracer.count(&format!("shard.{w}.pkts"), pkts);
-                            let stats = tel.map(|t| t.finish(&tracer));
-                            worker.into_out(outputs, pkts, busy_ns, forwarded, stats)
-                        })
-                        .map_err(|e| ShardError::Thread(e.to_string()))?;
-                    handles.push(handle);
-                }
-                let mut steered = vec![0u64; n];
-                let mut retries = vec![0u64; n];
-                let mut dispatch_wait_ns = 0u64;
-                let mut dropped_seqs = Vec::new();
-                let mut dropped_per_shard = vec![0u64; n];
-                // The dispatcher-side hot-key sketches serve both the
-                // telemetry plane and the rebalancer's divert decision.
-                let mut sketches: Vec<TopK<Vec<u64>>> =
-                    if telemetry_on || rebalancer.enabled {
-                        (0..n).map(|_| TopK::new(cfg.hotkeys_k)).collect()
-                    } else {
-                        Vec::new()
-                    };
-                let mut fill: Vec<Histogram> = if telemetry_on {
-                    (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut bins: Vec<Bin> =
-                    (0..n).map(|_| Vec::with_capacity(batch)).collect();
-                let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut loads = vec![0u64; n];
-                let mut seq = 0u64;
-                let mut source_err: Option<String> = None;
-                let dispatch_span = self.tracer.span("shard.dispatch");
-                let d0 = self.tracer.now();
-                'dispatch: loop {
-                    batch_buf.clear();
-                    let got = match source.next_batch(&mut batch_buf, batch) {
-                        Ok(g) => g,
-                        Err(e) => {
-                            source_err = Some(e.to_string());
-                            break 'dispatch;
+                            for (seq, nth, pkt) in bin {
+                                worker.step(&mut state, &tracer, seq, nth, &pkt);
+                            }
                         }
-                    };
-                    if got == 0 {
-                        break;
+                        let snapshot = state.snapshot();
+                        (worker, snapshot)
+                    })
+                    .map_err(|e| ShardError::Thread(e.to_string()))?;
+                handles.push(handle);
+            }
+            let bins = (0..d.n).map(|_| Vec::with_capacity(d.batch)).collect();
+            let mut transport = Transport::Rings { tx, bins };
+            let source_err = self.dispatch(source, d, &mut transport);
+            // Closing the rings lets the workers drain and exit.
+            drop(transport);
+            let mut snapshots = Vec::with_capacity(d.n);
+            for (i, handle) in handles.into_iter().enumerate() {
+                match handle.join() {
+                    Ok((worker, snapshot)) => {
+                        workers.push(worker);
+                        snapshots.push(snapshot);
                     }
-                    for mut pkt in batch_buf.drain(..) {
-                        let i = seq;
-                        seq += 1;
-                        let h = dispatch_hash(key, &pkt);
-                        let hash_shard = if n > 1 { (h % n as u64) as usize } else { 0 };
-                        let w = rebalancer.route(h, hash_shard);
-                        if !sketches.is_empty() {
-                            sketches[w].offer(dispatch_values(key, &pkt));
-                        }
-                        let nth = steered[w];
-                        steered[w] += 1;
-                        let (forced, garbage) = dispatch_faults(faults, w, nth);
-                        if !simulate_dispatch(forced, &policy, &mut retries[w]) {
-                            dropped_seqs.push(i);
-                            dropped_per_shard[w] += 1;
-                            continue;
-                        }
-                        if garbage {
-                            scramble_packet(&mut pkt, i);
-                        }
+                    Err(payload) => {
+                        return Err(ShardError::Thread(format!(
+                            "shard {i} panicked: {}",
+                            panic_message(payload.as_ref())
+                        )))
+                    }
+                }
+            }
+            Ok((snapshots, source_err))
+        })
+    }
+
+    /// The one dispatch loop: pull a batch, assign arrival seqs, route
+    /// each packet, apply dispatch-side faults, and hand it to the
+    /// transport. Returns the source's mid-stream error, if any.
+    fn dispatch(
+        &self,
+        source: &mut dyn WorkloadSource<Item = Packet>,
+        d: &mut Dispatcher<'_>,
+        transport: &mut Transport<'_>,
+    ) -> Option<String> {
+        let mut batch_buf: Vec<Packet> = Vec::with_capacity(d.batch);
+        let mut seq = 0u64;
+        let mut source_err = None;
+        let dispatch_span = self.tracer.span("shard.dispatch");
+        let d0 = self.tracer.now();
+        'dispatch: loop {
+            batch_buf.clear();
+            match source.next_batch(&mut batch_buf, d.batch) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    source_err = Some(e.to_string());
+                    break;
+                }
+            }
+            d.loads.fill(0);
+            for mut pkt in batch_buf.drain(..) {
+                let i = seq;
+                seq += 1;
+                let w = d.route(i, &pkt);
+                d.loads[w] += 1;
+                let nth = d.steered[w];
+                d.steered[w] += 1;
+                let (forced, garbage) = dispatch_faults(d.faults, w, nth);
+                if !simulate_dispatch(forced, &d.policy, &mut d.retries[w]) {
+                    d.dropped_seqs.push(i);
+                    d.dropped_per_shard[w] += 1;
+                    continue;
+                }
+                if garbage {
+                    scramble_packet(&mut pkt, i);
+                }
+                match transport {
+                    Transport::Rings { tx, bins } => {
                         bins[w].push((i, nth, pkt));
-                        if bins[w].len() >= batch
-                            && flush_bin(
-                                &mut bins[w],
-                                batch,
-                                &producers[w],
-                                &policy,
-                                &mut retries[w],
-                                &mut dispatch_wait_ns,
-                                fill.get_mut(w),
-                                &mut dropped_seqs,
-                                &mut dropped_per_shard[w],
-                            )
-                            .is_err()
-                        {
-                            // The worker exited early; its join below
+                        if bins[w].len() >= d.batch && d.flush(w, &mut bins[w], &tx[w]).is_err() {
+                            // The worker exited early; its join
                             // reports why.
                             break 'dispatch;
                         }
                     }
-                    // Batch boundary: queued bins per ring are the load
-                    // signal the rebalancer watches.
-                    if rebalancer.enabled {
-                        for (l, tx) in loads.iter_mut().zip(&producers) {
+                    Transport::Inline { workers, states } => {
+                        let state = if states.len() == 1 {
+                            &mut states[0]
+                        } else {
+                            &mut states[w]
+                        };
+                        workers[w].step(state, &self.tracer, i, nth, &pkt);
+                    }
+                }
+            }
+            // Batch boundary: the rebalancer watches queued bins per
+            // ring, or this round's per-shard fill inline.
+            match transport {
+                Transport::Rings { tx, .. } => {
+                    if d.rebalancer.enabled {
+                        for (l, tx) in d.loads.iter_mut().zip(tx.iter()) {
                             *l = tx.len() as u64;
                         }
-                        rebalancer.boundary(&loads, &sketches);
                     }
                 }
-                for w in 0..n {
-                    if flush_bin(
-                        &mut bins[w],
-                        batch,
-                        &producers[w],
-                        &policy,
-                        &mut retries[w],
-                        &mut dispatch_wait_ns,
-                        fill.get_mut(w),
-                        &mut dropped_seqs,
-                        &mut dropped_per_shard[w],
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-                drop(producers);
-                let dispatch_ns =
-                    self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
-                dispatch_span.end();
-                for (w, h) in fill.iter().enumerate() {
-                    if h.count > 0 {
-                        self.tracer
-                            .merge_histogram(&format!("shard.{w}.batch.fill"), h);
-                    }
-                }
-                let mut outs = Vec::with_capacity(n);
-                for (i, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok(out) => outs.push(out),
-                        Err(payload) => {
-                            return Err(ShardError::Thread(format!(
-                                "shard {i} panicked: {}",
-                                panic_message(payload.as_ref())
-                            )))
+                Transport::Inline { .. } => {
+                    for (h, &c) in d.fill.iter_mut().zip(&d.loads) {
+                        if c > 0 {
+                            h.observe(c);
                         }
                     }
                 }
-                if let Some(e) = source_err {
-                    return Err(ShardError::Workload(e));
-                }
-                Ok((
-                    outs,
-                    retries,
-                    dropped_seqs,
-                    dropped_per_shard,
-                    sketches,
-                    dispatch_ns,
-                    dispatch_wait_ns,
-                ))
-            })?;
-        if rebalancer.migrations > 0 {
-            self.tracer
-                .count("shard.rebalance.migrations", rebalancer.migrations);
+            }
+            d.rebalancer.boundary(&d.loads, &d.sketches);
         }
-        let stats_sketches = if telemetry_on { sketches } else { Vec::new() };
-        let mut run = self.assemble(
-            outs,
-            true,
-            retries,
-            dropped_seqs,
-            dropped_per_shard,
-            stats_sketches,
-            dispatch_ns,
-            dispatch_wait_ns,
-        )?;
-        run.migrations = rebalancer.migrations;
-        Ok(run)
-    }
-
-    fn run_global_threaded(
-        &self,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let policy = self.policy;
-        let telemetry_on = self.telemetry_on();
-        let cfg = self.telemetry;
-        let batch = run_cfg.batch.size.max(1);
-        let ring_bins = (RING_CAP / batch).max(2);
-        let keep_outputs = run_cfg.keep_outputs;
-        let shared = Arc::new(Mutex::new(self.proto.clone()));
-        let turn = Arc::new(AtomicU64::new(0));
-        // Seqs that will never be processed (dropped at dispatch): a
-        // waiter whose turn never comes checks here and advances the
-        // ticket past them, so a drop cannot stall the run.
-        let skipped = Arc::new(Mutex::new(BTreeSet::<u64>::new()));
-        type ScopeOut = (Vec<WorkerOut>, Vec<u64>, Vec<u64>, Vec<u64>, u64, u64);
-        let (mut outs, retries, mut dropped_seqs, dropped_per_shard, dispatch_ns, dispatch_wait_ns) =
-            std::thread::scope(|scope| -> Result<ScopeOut, ShardError> {
-                let mut producers = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for w in 0..n {
-                    let (tx, rx) = nf_support::spsc::ring::<Bin>(ring_bins);
-                    producers.push(tx);
-                    let shared = Arc::clone(&shared);
-                    let turn = Arc::clone(&turn);
-                    let skipped = Arc::clone(&skipped);
-                    let model = self.model.clone();
-                    let fallback = self.fallback.clone();
-                    let faults = faults.clone();
-                    let label = self.proto.label();
-                    let tracer = self.tracer.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("nf-shard-{w}"))
-                        .spawn_scoped(scope, move || -> Result<WorkerOut, String> {
-                            let mut poison = PoisonTicket {
-                                turn: Arc::clone(&turn),
-                                armed: true,
-                            };
-                            let mut outputs = Vec::new();
-                            let (mut pkts, mut busy_ns) = (0u64, 0u64);
-                            let mut forwarded = 0u64;
-                            let mut quarantine = Quarantine::new(policy.quarantine_cap);
-                            let (mut fail_streak, mut restarts) = (0u32, 0u64);
-                            let mut fallbacks = 0u64;
-                            let mut tel =
-                                telemetry_on.then(|| WorkerTelemetry::new(w, label, &cfg));
-                            while let Some(bin) = rx.recv() {
-                                if let Some(tel) = tel.as_mut() {
-                                    tel.occupancy(rx.len() as u64);
-                                }
-                                for (seq, nth, pkt) in bin {
-                                // Ticket lock: process strictly in arrival
-                                // order so the run is bit-identical to the
-                                // single-threaded reference. `u64::MAX` is
-                                // the poison ticket a failing shard leaves
-                                // behind so nobody spins forever.
-                                let wait = tracer.now();
-                                let mut backoff = Backoff::new();
-                                loop {
-                                    match turn.load(Ordering::Acquire) {
-                                        t if t == seq => break,
-                                        u64::MAX => {
-                                            return Err(ABORTED.into());
-                                        }
-                                        t => {
-                                            if backoff.yields() {
-                                                let set = skipped
-                                                    .lock()
-                                                    .unwrap_or_else(|e| e.into_inner());
-                                                if set.contains(&t) {
-                                                    let _ = turn.compare_exchange(
-                                                        t,
-                                                        t + 1,
-                                                        Ordering::AcqRel,
-                                                        Ordering::Acquire,
-                                                    );
-                                                    continue;
-                                                }
-                                            }
-                                            backoff.snooze();
-                                        }
-                                    }
-                                }
-                                let mut guard =
-                                    shared.lock().unwrap_or_else(|e| e.into_inner());
-                                tracer.observe_ns(
-                                    "lock.wait.ns",
-                                    tracer.now().saturating_duration_since(wait).as_nanos()
-                                        as u64,
-                                );
-                                let t0 = tracer.now();
-                                let step = supervised_step(
-                                    &mut guard,
-                                    model.as_deref(),
-                                    fallback.as_deref(),
-                                    w,
-                                    nth,
-                                    &pkt,
-                                    &faults,
-                                    &mut fallbacks,
-                                );
-                                match step {
-                                    Ok((outs, dropped)) => {
-                                        fail_streak = 0;
-                                        drop(guard);
-                                        turn.store(seq + 1, Ordering::Release);
-                                        let step_ns = tracer
-                                            .now()
-                                            .saturating_duration_since(t0)
-                                            .as_nanos()
-                                            as u64;
-                                        busy_ns += step_ns;
-                                        if let Some(tel) = tel.as_mut() {
-                                            let outcome = if dropped {
-                                                FlightOutcome::Dropped
-                                            } else {
-                                                FlightOutcome::Forwarded
-                                            };
-                                            tel.record(seq, step_ns, outcome, &pkt);
-                                            tel.maybe_flush(&tracer);
-                                        }
-                                        pkts += 1;
-                                        if !dropped {
-                                            forwarded += 1;
-                                        }
-                                        if keep_outputs {
-                                            outputs.push(SeqOutput {
-                                                seq,
-                                                shard: w,
-                                                outputs: outs,
-                                                dropped,
-                                            });
-                                        }
-                                    }
-                                    Err(error) => {
-                                        // Contained: quarantine, advance
-                                        // the ticket, keep running.
-                                        fail_streak += 1;
-                                        if fail_streak >= policy.restart_after {
-                                            guard.refresh();
-                                            restarts += 1;
-                                            fail_streak = 0;
-                                        }
-                                        drop(guard);
-                                        turn.store(seq + 1, Ordering::Release);
-                                        let step_ns = tracer
-                                            .now()
-                                            .saturating_duration_since(t0)
-                                            .as_nanos()
-                                            as u64;
-                                        busy_ns += step_ns;
-                                        if let Some(tel) = tel.as_mut() {
-                                            tel.record(
-                                                seq,
-                                                step_ns,
-                                                FlightOutcome::Quarantined,
-                                                &pkt,
-                                            );
-                                            tel.maybe_flush(&tracer);
-                                        }
-                                        quarantine.push(QuarantineRecord {
-                                            seq,
-                                            shard: w,
-                                            backend: label,
-                                            error,
-                                            packet: pkt.clone(),
-                                        });
-                                    }
-                                }
-                                }
-                            }
-                            poison.armed = false;
-                            tracer.count(&format!("shard.{w}.pkts"), pkts);
-                            let (quarantined, quarantined_seqs) = quarantine.into_parts();
-                            let stats = tel.map(|t| t.finish(&tracer));
-                            Ok(WorkerOut {
-                                outputs,
-                                snapshot: BTreeMap::new(),
-                                pkts,
-                                busy_ns,
-                                forwarded,
-                                quarantined,
-                                quarantined_seqs,
-                                restarts,
-                                fallbacks,
-                                stats,
-                            })
-                        })
-                        .map_err(|e| ShardError::Thread(e.to_string()))?;
-                    handles.push(handle);
-                }
-                let mut steered = vec![0u64; n];
-                let mut retries = vec![0u64; n];
-                let mut dispatch_wait_ns = 0u64;
-                let mut dropped_seqs = Vec::new();
-                let mut dropped_per_shard = vec![0u64; n];
-                let mut fill: Vec<Histogram> = if telemetry_on {
-                    (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-                } else {
-                    Vec::new()
-                };
-                let mut bins: Vec<Bin> =
-                    (0..n).map(|_| Vec::with_capacity(batch)).collect();
-                let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut seq = 0u64;
-                let mut source_err: Option<String> = None;
-                let dispatch_span = self.tracer.span("shard.dispatch");
-                let d0 = self.tracer.now();
-                'dispatch: loop {
-                    batch_buf.clear();
-                    let got = match source.next_batch(&mut batch_buf, batch) {
-                        Ok(g) => g,
-                        Err(e) => {
-                            source_err = Some(e.to_string());
-                            break 'dispatch;
-                        }
-                    };
-                    if got == 0 {
-                        break;
-                    }
-                    for mut pkt in batch_buf.drain(..) {
-                        let i = seq;
-                        seq += 1;
-                        // Round-robin: the ticket serialises processing
-                        // anyway.
-                        let w = (i % n as u64) as usize;
-                        let nth = steered[w];
-                        steered[w] += 1;
-                        let (forced, garbage) = dispatch_faults(faults, w, nth);
-                        if !simulate_dispatch(forced, &policy, &mut retries[w]) {
-                            // Record the hole in the ticket sequence
-                            // before accounting, so waiters can skip it.
-                            skipped
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .insert(i);
-                            let _ = turn.compare_exchange(
-                                i,
-                                i + 1,
-                                Ordering::AcqRel,
-                                Ordering::Acquire,
-                            );
-                            dropped_seqs.push(i);
-                            dropped_per_shard[w] += 1;
-                            continue;
-                        }
-                        if garbage {
-                            scramble_packet(&mut pkt, i);
-                        }
-                        bins[w].push((i, nth, pkt));
-                        if bins[w].len() >= batch
-                            && flush_bin_global(
-                                &mut bins[w],
-                                batch,
-                                &producers[w],
-                                &policy,
-                                &mut retries[w],
-                                &mut dispatch_wait_ns,
-                                fill.get_mut(w),
-                                &mut dropped_seqs,
-                                &mut dropped_per_shard[w],
-                                &skipped,
-                                &turn,
-                            )
-                            .is_err()
-                        {
-                            break 'dispatch;
-                        }
-                    }
-                }
-                for w in 0..n {
-                    if flush_bin_global(
-                        &mut bins[w],
-                        batch,
-                        &producers[w],
-                        &policy,
-                        &mut retries[w],
-                        &mut dispatch_wait_ns,
-                        fill.get_mut(w),
-                        &mut dropped_seqs,
-                        &mut dropped_per_shard[w],
-                        &skipped,
-                        &turn,
-                    )
-                    .is_err()
-                    {
+        let inline_ns: u64 = match transport {
+            Transport::Rings { tx, bins } => {
+                for (w, (tx, bin)) in tx.iter().zip(bins.iter_mut()).enumerate() {
+                    if d.flush(w, bin, tx).is_err() {
                         break;
                     }
                 }
-                drop(producers);
-                let dispatch_ns =
-                    self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
-                dispatch_span.end();
-                for (w, h) in fill.iter().enumerate() {
-                    if h.count > 0 {
-                        self.tracer
-                            .merge_histogram(&format!("shard.{w}.batch.fill"), h);
-                    }
-                }
-                // Join everything, then report the root cause rather than
-                // a bystander's abort.
-                let mut outs = Vec::with_capacity(n);
-                let mut aborted = false;
-                let mut failure: Option<ShardError> = None;
-                for (i, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok(Ok(out)) => outs.push(out),
-                        Ok(Err(e)) if e == ABORTED => aborted = true,
-                        Ok(Err(e)) => failure = failure.or(Some(ShardError::Runtime(e))),
-                        Err(payload) => {
-                            turn.store(u64::MAX, Ordering::Release);
-                            failure = failure.or(Some(ShardError::Thread(format!(
-                                "shard {i} panicked: {}",
-                                panic_message(payload.as_ref())
-                            ))));
-                        }
-                    }
-                }
-                if let Some(err) = failure {
-                    return Err(err);
-                }
-                if aborted {
-                    return Err(ShardError::Thread(
-                        "worker aborted without a cause".into(),
-                    ));
-                }
-                if let Some(e) = source_err {
-                    return Err(ShardError::Workload(e));
-                }
-                Ok((
-                    outs,
-                    retries,
-                    dropped_seqs,
-                    dropped_per_shard,
-                    dispatch_ns,
-                    dispatch_wait_ns,
-                ))
-            })?;
-        let mut outputs: Vec<SeqOutput> = outs.iter().flat_map(|o| o.outputs.clone()).collect();
-        outputs.sort_by_key(|o| o.seq);
-        let forwarded = outs.iter().map(|o| o.forwarded).sum();
-        let merge_span = self.tracer.span("shard.merge");
-        let m0 = self.tracer.now();
-        let merged = shared.lock().unwrap_or_else(|e| e.into_inner()).snapshot();
-        let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
-        merge_span.end();
-        let per_shard_pkts = outs.iter().map(|o| o.pkts).collect();
-        let busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-        let shard_stats: Vec<ShardStats> =
-            outs.iter_mut().filter_map(|o| o.stats.take()).collect();
-        let (quarantined, quarantined_seqs, restarts, fallbacks) =
-            self.fold_faults(&mut outs, &retries, &dropped_per_shard);
-        dropped_seqs.sort_unstable();
-        let stats = (!shard_stats.is_empty()).then(|| {
-            RunStats::assemble(
-                shard_stats,
-                Vec::new(),
-                None,
-                dispatch_ns,
-                merge_ns,
-                &self.tracer,
-            )
-        });
-        Ok(ShardRun {
-            outputs,
-            merged,
-            per_shard_pkts,
-            busy_ns,
-            partitioned: false,
-            quarantined,
-            quarantined_seqs,
-            dropped_seqs,
-            restarts,
-            retries: retries.iter().sum(),
-            fallbacks,
-            forwarded,
-            migrations: 0,
-            dispatch_ns,
-            dispatch_wait_ns,
-            stats,
-        })
-    }
-
-    fn run_sequential_n(
-        &self,
-        n: usize,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let telemetry_on = self.telemetry_on();
-        let batch = run_cfg.batch.size.max(1);
-        let mut workers: Vec<ShardWorker> =
-            (0..n).map(|w| self.shard_worker(w, faults)).collect();
-        let mut tels: Vec<Option<WorkerTelemetry>> = (0..n)
-            .map(|w| {
-                telemetry_on
-                    .then(|| WorkerTelemetry::new(w, self.proto.label(), &self.telemetry))
-            })
-            .collect();
-        // Hot keys are a property of the dispatch key; a global-lock
-        // plan has none, so its profile is naturally empty.
-        let key = self.plan.dispatch().cloned();
-        let mut rebalancer = Rebalancer::new(
-            &run_cfg.batch,
-            n,
-            sequential_high_water(&run_cfg.batch, batch),
-            key.is_some() && n > 1,
-        );
-        let mut sketches: Vec<TopK<Vec<u64>>> =
-            if key.is_some() && (telemetry_on || rebalancer.enabled) {
-                (0..n).map(|_| TopK::new(self.telemetry.hotkeys_k)).collect()
-            } else {
-                Vec::new()
-            };
-        let mut fill: Vec<Histogram> = if telemetry_on {
-            (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-        } else {
-            Vec::new()
+                0
+            }
+            Transport::Inline { workers, .. } => workers.iter().map(|w| w.busy_ns).sum(),
         };
-        let mut outputs = Vec::new();
-        let mut forwarded = 0u64;
-        let mut pkts = vec![0u64; n];
-        let mut busy = vec![0u64; n];
-        let mut steered = vec![0u64; n];
-        let mut retries = vec![0u64; n];
-        let mut dropped_seqs = Vec::new();
-        let mut dropped_per_shard = vec![0u64; n];
-        let mut seq = 0u64;
-        let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-        // Per-round bin fill doubles as the (deterministic) load signal
-        // the rebalancer watches in sequential mode.
-        let mut round_fill = vec![0u64; n];
-        loop {
-            batch_buf.clear();
-            let got = source
-                .next_batch(&mut batch_buf, batch)
-                .map_err(|e| ShardError::Workload(e.to_string()))?;
-            if got == 0 {
-                break;
-            }
-            round_fill.iter_mut().for_each(|c| *c = 0);
-            for mut pkt in batch_buf.drain(..) {
-                let i = seq;
-                seq += 1;
-                let w = match &key {
-                    Some(k) if n > 1 => {
-                        let h = dispatch_hash(k, &pkt);
-                        rebalancer.route(h, (h % n as u64) as usize)
-                    }
-                    _ => 0,
-                };
-                if !sketches.is_empty() {
-                    if let Some(k) = &key {
-                        sketches[w].offer(dispatch_values(k, &pkt));
-                    }
-                }
-                round_fill[w] += 1;
-                let nth = steered[w];
-                steered[w] += 1;
-                let (forced, garbage) = dispatch_faults(faults, w, nth);
-                if !simulate_dispatch(forced, &self.policy, &mut retries[w]) {
-                    dropped_seqs.push(i);
-                    dropped_per_shard[w] += 1;
-                    continue;
-                }
-                if garbage {
-                    scramble_packet(&mut pkt, i);
-                }
-                let t0 = self.tracer.now();
-                let step = workers[w].process(i, nth, &pkt);
-                let step_ns =
-                    self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
-                busy[w] += step_ns;
-                if let Some(tel) = tels[w].as_mut() {
-                    let outcome = match &step {
-                        Some((_, false)) => FlightOutcome::Forwarded,
-                        Some((_, true)) => FlightOutcome::Dropped,
-                        None => FlightOutcome::Quarantined,
-                    };
-                    tel.record(i, step_ns, outcome, &pkt);
-                    tel.maybe_flush(&self.tracer);
-                }
-                if let Some((outs, dropped)) = step {
-                    pkts[w] += 1;
-                    if !dropped {
-                        forwarded += 1;
-                    }
-                    if run_cfg.keep_outputs {
-                        outputs.push(SeqOutput {
-                            seq: i,
-                            shard: w,
-                            outputs: outs,
-                            dropped,
-                        });
-                    }
-                }
-            }
-            for (h, &c) in fill.iter_mut().zip(&round_fill) {
-                if c > 0 {
-                    h.observe(c);
-                }
-            }
-            rebalancer.boundary(&round_fill, &sketches);
-        }
-        for (w, count) in pkts.iter().enumerate() {
-            self.tracer.count(&format!("shard.{w}.pkts"), *count);
-        }
-        for (w, h) in fill.iter().enumerate() {
+        let wall_ns = self.tracer.now().saturating_duration_since(d0).as_nanos() as u64;
+        d.dispatch_ns = wall_ns.saturating_sub(inline_ns);
+        dispatch_span.end();
+        for (w, h) in d.fill.iter().enumerate() {
             if h.count > 0 {
-                self.tracer.merge_histogram(&format!("shard.{w}.batch.fill"), h);
+                self.tracer
+                    .merge_histogram(&format!("shard.{w}.batch.fill"), h);
             }
         }
-        if rebalancer.migrations > 0 {
-            self.tracer
-                .count("shard.rebalance.migrations", rebalancer.migrations);
-        }
-        let outs: Vec<WorkerOut> = workers
-            .into_iter()
-            .zip(pkts)
-            .zip(busy)
-            .zip(tels)
-            .map(|(((worker, pkts), busy_ns), tel)| {
-                let stats = tel.map(|t| t.finish(&self.tracer));
-                worker.into_out(Vec::new(), pkts, busy_ns, 0, stats)
-            })
-            .collect();
-        let stats_sketches = if telemetry_on { sketches } else { Vec::new() };
-        let mut run = self.assemble(
-            outs,
-            true,
-            retries,
-            dropped_seqs,
-            dropped_per_shard,
-            stats_sketches,
-            0,
-            0,
-        )?;
-        run.outputs = outputs;
-        run.forwarded = forwarded;
-        run.migrations = rebalancer.migrations;
-        Ok(run)
+        source_err
     }
 
-    fn run_global_sequential(
-        &self,
-        source: &mut dyn WorkloadSource<Item = Packet>,
-        faults: &FaultPlan,
-        run_cfg: &RunConfig,
-    ) -> Result<ShardRun, ShardError> {
-        let n = self.shards;
-        let telemetry_on = self.telemetry_on();
-        let batch = run_cfg.batch.size.max(1);
-        // One shared evaluator; the worker's shard index is rewritten
-        // per packet so faults and quarantine records land on the right
-        // virtual shard.
-        let mut worker = self.shard_worker(0, faults);
-        let mut tels: Vec<Option<WorkerTelemetry>> = (0..n)
-            .map(|w| {
-                telemetry_on
-                    .then(|| WorkerTelemetry::new(w, self.proto.label(), &self.telemetry))
-            })
-            .collect();
-        let mut fill: Vec<Histogram> = if telemetry_on {
-            (0..n).map(|_| Histogram::new(&BATCH_FILL_BOUNDS)).collect()
-        } else {
-            Vec::new()
-        };
-        let mut outputs = Vec::new();
-        let mut forwarded = 0u64;
-        let mut pkts = vec![0u64; n];
-        let mut busy = vec![0u64; n];
-        let mut steered = vec![0u64; n];
-        let mut retries = vec![0u64; n];
-        let mut quarantined_per_shard = vec![0u64; n];
-        let mut dropped_seqs = Vec::new();
-        let mut dropped_per_shard = vec![0u64; n];
-        let mut seq = 0u64;
-        let mut batch_buf: Vec<Packet> = Vec::with_capacity(batch);
-        let mut round_fill = vec![0u64; n];
-        loop {
-            batch_buf.clear();
-            let got = source
-                .next_batch(&mut batch_buf, batch)
-                .map_err(|e| ShardError::Workload(e.to_string()))?;
-            if got == 0 {
-                break;
-            }
-            round_fill.iter_mut().for_each(|c| *c = 0);
-            for mut pkt in batch_buf.drain(..) {
-                let i = seq;
-                seq += 1;
-                let w = (i % n as u64) as usize;
-                round_fill[w] += 1;
-                let nth = steered[w];
-                steered[w] += 1;
-                let (forced, garbage) = dispatch_faults(faults, w, nth);
-                if !simulate_dispatch(forced, &self.policy, &mut retries[w]) {
-                    dropped_seqs.push(i);
-                    dropped_per_shard[w] += 1;
-                    continue;
-                }
-                if garbage {
-                    scramble_packet(&mut pkt, i);
-                }
-                worker.shard = w;
-                let t0 = self.tracer.now();
-                let step = worker.process(i, nth, &pkt);
-                let step_ns =
-                    self.tracer.now().saturating_duration_since(t0).as_nanos() as u64;
-                busy[w] += step_ns;
-                if let Some(tel) = tels[w].as_mut() {
-                    let outcome = match &step {
-                        Some((_, false)) => FlightOutcome::Forwarded,
-                        Some((_, true)) => FlightOutcome::Dropped,
-                        None => FlightOutcome::Quarantined,
-                    };
-                    tel.record(i, step_ns, outcome, &pkt);
-                    tel.maybe_flush(&self.tracer);
-                }
-                if let Some((outs, dropped)) = step {
-                    pkts[w] += 1;
-                    if !dropped {
-                        forwarded += 1;
-                    }
-                    if run_cfg.keep_outputs {
-                        outputs.push(SeqOutput {
-                            seq: i,
-                            shard: w,
-                            outputs: outs,
-                            dropped,
-                        });
-                    }
-                } else {
-                    quarantined_per_shard[w] += 1;
-                }
-            }
-            for (h, &c) in fill.iter_mut().zip(&round_fill) {
-                if c > 0 {
-                    h.observe(c);
-                }
-            }
-        }
-        for (w, count) in pkts.iter().enumerate() {
-            self.tracer.count(&format!("shard.{w}.pkts"), *count);
-        }
-        for (w, h) in fill.iter().enumerate() {
-            if h.count > 0 {
-                self.tracer.merge_histogram(&format!("shard.{w}.batch.fill"), h);
-            }
-        }
-        for (w, q) in quarantined_per_shard.iter().enumerate() {
-            if *q > 0 {
-                self.tracer.count(&format!("shard.{w}.quarantined"), *q);
-            }
-        }
-        for (w, r) in retries.iter().enumerate() {
-            if *r > 0 {
-                self.tracer.count(&format!("shard.{w}.retries"), *r);
-            }
-        }
-        for (w, d) in dropped_per_shard.iter().enumerate() {
-            if *d > 0 {
-                self.tracer.count(&format!("shard.{w}.dropped"), *d);
-            }
-        }
-        if worker.restarts > 0 {
-            self.tracer.count("shard.0.restarts", worker.restarts);
-        }
-        if worker.fallbacks > 0 {
-            self.tracer.count("backend.fallbacks", worker.fallbacks);
-        }
-        let restarts = worker.restarts;
-        let fallbacks = worker.fallbacks;
-        let merge_span = self.tracer.span("shard.merge");
-        let m0 = self.tracer.now();
-        let merged = worker.state.snapshot();
-        let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
-        merge_span.end();
-        let shard_stats: Vec<ShardStats> = tels
-            .into_iter()
-            .flatten()
-            .map(|t| t.finish(&self.tracer))
-            .collect();
-        let stats = (!shard_stats.is_empty()).then(|| {
-            RunStats::assemble(shard_stats, Vec::new(), None, 0, merge_ns, &self.tracer)
-        });
-        let (mut quarantined, mut quarantined_seqs) = worker.quarantine.into_parts();
-        quarantined.sort_by_key(|r| r.seq);
-        quarantined.truncate(self.policy.quarantine_cap);
-        quarantined_seqs.sort_unstable();
-        dropped_seqs.sort_unstable();
-        Ok(ShardRun {
-            outputs,
-            merged,
-            per_shard_pkts: pkts,
-            busy_ns: busy,
-            partitioned: false,
-            quarantined,
-            quarantined_seqs,
-            dropped_seqs,
-            restarts,
-            retries: retries.iter().sum(),
-            fallbacks,
-            forwarded,
-            migrations: 0,
-            dispatch_ns: 0,
-            dispatch_wait_ns: 0,
-            stats,
-        })
-    }
-
-    /// Sort outputs, merge per-shard snapshots, fold the workers' fault
+    /// Sort outputs, merge the state snapshots (one per shard, or the
+    /// global-lock plan's single one), fold the workers' fault
     /// accounting into the run, and assemble the telemetry plane's
     /// [`RunStats`] (hot-key sketches come from the dispatcher).
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
-        mut outs: Vec<WorkerOut>,
-        partitioned: bool,
-        retries: Vec<u64>,
-        mut dropped_seqs: Vec<u64>,
-        dropped_per_shard: Vec<u64>,
-        sketches: Vec<TopK<Vec<u64>>>,
-        dispatch_ns: u64,
-        dispatch_wait_ns: u64,
+        mut workers: Vec<ShardWorker>,
+        snapshots: &[Snapshot],
+        mut d: Dispatcher<'_>,
     ) -> Result<ShardRun, ShardError> {
-        let mut outputs: Vec<SeqOutput> = outs.iter().flat_map(|o| o.outputs.clone()).collect();
+        let mut outputs: Vec<SeqOutput> = workers
+            .iter_mut()
+            .flat_map(|w| std::mem::take(&mut w.outputs))
+            .collect();
         outputs.sort_by_key(|o| o.seq);
         let initial = self.proto.snapshot();
         let merge_span = self.tracer.span("shard.merge");
         let m0 = self.tracer.now();
-        let snapshots: Vec<&BTreeMap<String, Value>> =
-            outs.iter().map(|o| &o.snapshot).collect();
+        let snapshots: Vec<&Snapshot> = snapshots.iter().collect();
         let merged = merge_states(&self.report, &initial, &snapshots)?;
         let merge_ns = self.tracer.now().saturating_duration_since(m0).as_nanos() as u64;
         merge_span.end();
-        let per_shard_pkts = outs.iter().map(|o| o.pkts).collect();
-        let busy_ns = outs.iter().map(|o| o.busy_ns).collect();
-        let forwarded = outs.iter().map(|o| o.forwarded).sum();
-        let shard_stats: Vec<ShardStats> =
-            outs.iter_mut().filter_map(|o| o.stats.take()).collect();
+        for w in &workers {
+            self.tracer
+                .count(&format!("shard.{}.pkts", w.shard), w.pkts);
+        }
+        let shard_stats: Vec<ShardStats> = workers
+            .iter_mut()
+            .filter_map(|w| w.tel.take().map(|t| t.finish(&self.tracer)))
+            .collect();
         let (quarantined, quarantined_seqs, restarts, fallbacks) =
-            self.fold_faults(&mut outs, &retries, &dropped_per_shard);
-        dropped_seqs.sort_unstable();
+            self.fold_faults(&mut workers, &d.retries, &d.dropped_per_shard);
+        d.dropped_seqs.sort_unstable();
+        let migrations = d.rebalancer.migrations;
+        if migrations > 0 {
+            self.tracer.count("shard.rebalance.migrations", migrations);
+        }
         let stats = (!shard_stats.is_empty()).then(|| {
             RunStats::assemble(
                 shard_stats,
-                sketches,
-                self.plan.dispatch(),
-                dispatch_ns,
+                d.sketches,
+                d.key,
+                d.dispatch_ns,
                 merge_ns,
                 &self.tracer,
             )
@@ -2360,19 +1581,19 @@ impl ShardEngine {
         Ok(ShardRun {
             outputs,
             merged,
-            per_shard_pkts,
-            busy_ns,
-            partitioned,
+            per_shard_pkts: workers.iter().map(|w| w.pkts).collect(),
+            busy_ns: workers.iter().map(|w| w.busy_ns).collect(),
+            partitioned: d.key.is_some(),
             quarantined,
             quarantined_seqs,
-            dropped_seqs,
+            dropped_seqs: d.dropped_seqs,
             restarts,
-            retries: retries.iter().sum(),
+            retries: d.retries.iter().sum(),
             fallbacks,
-            forwarded,
-            migrations: 0,
-            dispatch_ns,
-            dispatch_wait_ns,
+            forwarded: workers.iter().map(|w| w.forwarded).sum(),
+            migrations,
+            dispatch_ns: d.dispatch_ns,
+            dispatch_wait_ns: d.wait_ns,
             stats,
         })
     }
@@ -2383,7 +1604,7 @@ impl ShardEngine {
     /// fallbacks).
     fn fold_faults(
         &self,
-        outs: &mut [WorkerOut],
+        workers: &mut [ShardWorker],
         retries: &[u64],
         dropped_per_shard: &[u64],
     ) -> (Vec<QuarantineRecord>, Vec<u64>, u64, u64) {
@@ -2391,18 +1612,20 @@ impl ShardEngine {
         let mut seqs = Vec::new();
         let mut restarts = 0u64;
         let mut fallbacks = 0u64;
-        for (w, out) in outs.iter_mut().enumerate() {
-            let q = out.quarantined_seqs.len() as u64;
-            if q > 0 {
-                self.tracer.count(&format!("shard.{w}.quarantined"), q);
+        for (w, worker) in workers.iter_mut().enumerate() {
+            let (mut r, mut q) = std::mem::take(&mut worker.quarantine).into_parts();
+            if !q.is_empty() {
+                self.tracer
+                    .count(&format!("shard.{w}.quarantined"), q.len() as u64);
             }
-            if out.restarts > 0 {
-                self.tracer.count(&format!("shard.{w}.restarts"), out.restarts);
+            if worker.restarts > 0 {
+                self.tracer
+                    .count(&format!("shard.{w}.restarts"), worker.restarts);
             }
-            records.append(&mut out.quarantined);
-            seqs.append(&mut out.quarantined_seqs);
-            restarts += out.restarts;
-            fallbacks += out.fallbacks;
+            records.append(&mut r);
+            seqs.append(&mut q);
+            restarts += worker.restarts;
+            fallbacks += worker.fallbacks;
         }
         for (w, r) in retries.iter().enumerate() {
             if *r > 0 {
@@ -2565,6 +1788,7 @@ fn merge_log(name: &str, init: &Value, values: &[&Value]) -> Result<Value, Shard
 mod tests {
     use super::*;
     use nf_packet::{PacketGen, TcpFlags};
+    use nf_support::workload::SliceSource;
 
     fn engine_for(src: &str, shards: usize) -> ShardEngine {
         ShardEngine::from_source(&pipeline("rl", shards), src, Backend::Interp).unwrap()
@@ -2625,19 +1849,8 @@ mod tests {
 
     #[test]
     fn global_lock_matches_single_on_shared_nf() {
-        let src = r#"
-            state next = 0;
-            state m = map();
-            fn cb(pkt: packet) {
-                if pkt.ip.src in m { send(pkt); } else {
-                    m[pkt.ip.src] = next;
-                    next = next + 1;
-                    drop(pkt);
-                }
-            }
-            fn main() { sniff(cb); }
-        "#;
-        let engine = ShardEngine::from_source(&pipeline("alloc", 4), src, Backend::Interp).unwrap();
+        let engine =
+            ShardEngine::from_source(&pipeline("alloc", 4), ALLOC, Backend::Interp).unwrap();
         assert!(!engine.plan().partitioned());
         let packets = PacketGen::new(3).batch(250);
         let sharded = engine.run_with(SliceSource::new(&packets), &RunConfig::threaded()).unwrap();
@@ -2800,24 +2013,27 @@ mod tests {
         assert_eq!(run.merged, clean.merged);
     }
 
-    #[test]
-    fn global_lock_quarantine_advances_the_ticket() {
-        // A quarantined seq under the ticket lock must hand the turn to
-        // the next seq or the run deadlocks.
-        let src = r#"
-            state next = 0;
-            state m = map();
-            fn cb(pkt: packet) {
-                if pkt.ip.src in m { send(pkt); } else {
-                    m[pkt.ip.src] = next;
-                    next = next + 1;
-                    drop(pkt);
-                }
+    /// A shared-state NF: every new source takes the next id, so the
+    /// plan falls back to the global lock.
+    const ALLOC: &str = r#"
+        state next = 0;
+        state m = map();
+        fn cb(pkt: packet) {
+            if pkt.ip.src in m { send(pkt); } else {
+                m[pkt.ip.src] = next;
+                next = next + 1;
+                drop(pkt);
             }
-            fn main() { sniff(cb); }
-        "#;
+        }
+        fn main() { sniff(cb); }
+    "#;
+
+    #[test]
+    fn global_lock_quarantine_does_not_stall_later_packets() {
+        // A quarantined packet under the global lock is skipped; every
+        // later packet still runs, in arrival order.
         let engine =
-            ShardEngine::from_source(&pipeline("alloc", 4), src, Backend::Interp).unwrap();
+            ShardEngine::from_source(&pipeline("alloc", 4), ALLOC, Backend::Interp).unwrap();
         assert!(!engine.plan().partitioned());
         let packets = PacketGen::new(3).batch(100);
         // Round-robin: shard 1's packet 0 is seq 1, shard 2's packet 5
@@ -2829,6 +2045,28 @@ mod tests {
         let seq = engine.run_with(SliceSource::new(&packets), &RunConfig::sequential().with_faults(faults.clone())).unwrap();
         assert_eq!(run.output_signature(), seq.output_signature());
         assert_eq!(run.merged, seq.merged);
+    }
+
+    #[test]
+    fn global_lock_restarts_count_per_virtual_shard_in_every_mode() {
+        // Three consecutive failures in arrival order, but only two on
+        // any one virtual shard: below `restart_after` (3) everywhere,
+        // so no mode may restart.
+        let engine =
+            ShardEngine::from_source(&pipeline("alloc", 2), ALLOC, Backend::Interp).unwrap();
+        assert!(!engine.plan().partitioned());
+        let packets = PacketGen::new(3).batch(100);
+        let faults = FaultPlan::parse("err@0:0,err@1:0,err@0:1").unwrap();
+        let threaded = engine
+            .run_with(SliceSource::new(&packets), &RunConfig::threaded().with_faults(faults.clone()))
+            .unwrap();
+        let sequential = engine
+            .run_with(SliceSource::new(&packets), &RunConfig::sequential().with_faults(faults))
+            .unwrap();
+        assert_eq!(threaded.fault_summary(), sequential.fault_summary());
+        assert_eq!(threaded.fault_summary().quarantined, 3);
+        assert_eq!(threaded.fault_summary().restarts, 0);
+        assert_eq!(threaded.per_shard_pkts, sequential.per_shard_pkts);
     }
 
     #[test]

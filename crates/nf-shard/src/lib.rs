@@ -15,16 +15,19 @@
 //! * **log-only** counters keep independent per-shard copies that are
 //!   delta-summed after the run;
 //! * **shared** state (or a per-flow map whose key shape could not be
-//!   resolved) drops the NF to a single instance behind a ticket-
-//!   ordered global lock — slower, but bit-identical to the
-//!   single-threaded run.
+//!   resolved) drops the NF to the global lock: a single instance run
+//!   on one evaluator in arrival order, with packets still counted
+//!   against `N` virtual shards — no parallelism, but bit-identical to
+//!   the single-threaded run.
 //!
-//! Workers are `std::thread`s fed over the `nf_support::spsc` rings;
-//! per-shard metrics (`shard.N.pkts` counters, `shard.N.ring.wait.ns`
-//! and `lock.wait.ns` histograms) flow into the session's `nf-trace`
-//! tracer. There is no work stealing by design: moving a packet off
-//! its hash-assigned shard would abandon the flow-state locality the
-//! dispatch exists to provide.
+//! Every mode shares one dispatcher and one per-packet worker step. A
+//! threaded run of a partitioned plan feeds `std::thread` workers over
+//! the `nf_support::spsc` rings; everything else runs inline on the
+//! dispatcher thread. Per-shard metrics (`shard.N.pkts` counters,
+//! `shard.N.ring.wait.ns` histograms) flow into the session's
+//! `nf-trace` tracer. There is no work stealing by design: moving a
+//! packet off its hash-assigned shard would abandon the flow-state
+//! locality the dispatch exists to provide.
 //!
 //! The runtime is **supervised** ([`supervise`]): each packet's eval is
 //! isolated behind `catch_unwind` with journal-based state rollback, a

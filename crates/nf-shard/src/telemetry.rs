@@ -121,7 +121,7 @@ impl FlightEvent {
 }
 
 /// Per-worker telemetry buffers. Lives on the worker thread (or the
-/// sequential driver); nothing here takes a lock until
+/// dispatcher thread, for inline runs); nothing here takes a lock until
 /// [`flush`](Self::flush) folds the pending histograms into the tracer.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
@@ -296,9 +296,9 @@ impl ShardStats {
 pub struct RunStats {
     /// Per-shard summaries, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Wall-clock nanoseconds the dispatcher spent steering packets
-    /// (threaded modes; 0 in the sequential simulations, where dispatch
-    /// and eval interleave on one thread).
+    /// Wall-clock nanoseconds the dispatcher spent steering packets,
+    /// less any eval run inline on its thread (see
+    /// `ShardRun::dispatch_ns`).
     pub dispatch_ns: u64,
     /// Wall-clock nanoseconds merging per-shard state at join.
     pub merge_ns: u64,

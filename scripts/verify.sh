@@ -150,18 +150,6 @@ if [ "$pkts" != "1000000" ]; then
 fi
 echo "    1000000 .nfw packets streamed across 4 shards at batch 32: ok"
 
-echo "==> deprecation gate: the legacy run* API has no non-wrapper callers"
-# The six pre-RunConfig entry points survive only as #[deprecated]
-# wrappers inside engine.rs; everything else goes through
-# run_with(source, &RunConfig).
-legacy=$(grep -rn -E '\.(run_faulted|run_sequential|run_sequential_faulted|run_single|run_single_faulted)\(|engine\.run\(' \
-    --include='*.rs' src crates tests | grep -v 'crates/nf-shard/src/engine.rs' || true)
-if [ -n "$legacy" ]; then
-    echo "    deprecated ShardEngine run* callers outside the engine.rs wrappers:"
-    echo "$legacy"; exit 1
-fi
-echo "    every call site uses run_with(source, &RunConfig): ok"
-
 echo "==> incremental lint smoke: --watch re-lints the edit, metrics show cache hits"
 # First poll lints cold; the appended trailing comment re-parses but
 # early-cuts, so the diagnostic set must not change (no +/- lines), and

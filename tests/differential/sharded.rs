@@ -8,7 +8,7 @@
 //! exercise partitioned dispatch — including portknock/ratelimiter's
 //! source-IP-only key and the firewall's direction-symmetric pinhole
 //! key; the shared NFs (fig1-lb, nat, balance) exercise the
-//! ticket-ordered global-lock fallback.
+//! global-lock fallback.
 
 use crate::harness::{for_each_backend_pair, DiffEngine, Mode, StateScope};
 use nfactor::core::Pipeline;

@@ -197,6 +197,11 @@ fn sequential_stats_deterministic_under_mock_clock() {
     assert_eq!(stats_a, stats_b, "stats JSON must be byte-identical");
     assert_eq!(table_a, table_b, "metric table must be byte-identical");
     assert!(stats_a.contains("\"p99\""), "stats carry percentiles");
+    let doc = Value::parse(&stats_a).expect("stats JSON parses");
+    assert!(
+        matches!(doc.get("partitioned"), Some(Value::Bool(false))),
+        "`partitioned` is a JSON bool (nat runs under the global lock)"
+    );
 }
 
 /// `render_top` shows one row per shard with the quarantine column
