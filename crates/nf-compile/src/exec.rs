@@ -68,12 +68,10 @@ impl CompiledState {
         }
     }
 
-    /// The step generation: bumped at the start of every
-    /// [`step`](Self::step), so a caller can tell whether a failure
-    /// happened before or after a step began (only the latter has a
-    /// live undo log to replay).
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// Forget every memoised predicate (the supervisor's restart: the
+    /// cached derivations are no longer trusted). State is untouched.
+    pub fn reset_memo(&mut self) {
+        self.memo.fill((0, false));
     }
 
     /// Undo the most recent [`step`](Self::step): restore every slot
@@ -322,11 +320,8 @@ impl CompiledState {
     /// shape [`snapshot`](CompiledState::snapshot) and the reference
     /// backends produce), dropping every memoised predicate.
     ///
-    /// This is the supervisor's state-handoff surface: after a worker
-    /// restart (or a per-packet rollback) the fresh `CompiledState` is
-    /// repopulated from the surviving snapshot. Clearing the memo table
-    /// matters — a restart exists precisely because the cached
-    /// derivations are no longer trusted.
+    /// This is the supervisor's state-handoff surface: a per-packet
+    /// fallback writes the reference model's post-state back through it.
     ///
     /// Fails (leaving `self` untouched) when the snapshot names a state
     /// the program does not know, or carries a non-map value for a map
@@ -416,17 +411,7 @@ mod tests {
             assert_eq!(got.output, want.output, "packet {i} output");
             assert_eq!(got.fired, want.fired, "packet {i} fired entry");
         }
-        let mut want = BTreeMap::new();
-        for (k, v) in &ms.configs {
-            want.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &ms.scalars {
-            want.insert(k.clone(), v.clone());
-        }
-        for (k, m) in &ms.maps {
-            want.insert(k.clone(), Value::Map(m.clone()));
-        }
-        assert_eq!(cs.snapshot(&prog), want, "final state snapshot");
+        assert_eq!(cs.snapshot(&prog), ms.snapshot(), "final state snapshot");
     }
 
     #[test]

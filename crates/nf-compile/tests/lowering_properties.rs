@@ -18,7 +18,7 @@ use nf_packet::{Field, PacketGen};
 use nf_support::check::{any_u64, check, tuple3, uint_range, Config};
 use nfactor_core::Pipeline;
 use nfl_interp::Interp;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 fn corpus() -> Vec<(&'static str, String)> {
     vec![
@@ -150,20 +150,6 @@ fn boundary_values(prog: &CompiledProgram) -> Vec<(Field, u64)> {
     out.into_iter().collect()
 }
 
-fn model_snapshot(ms: &ModelState) -> BTreeMap<String, nfl_interp::Value> {
-    let mut want = BTreeMap::new();
-    for (k, v) in &ms.configs {
-        want.insert(k.clone(), v.clone());
-    }
-    for (k, v) in &ms.scalars {
-        want.insert(k.clone(), v.clone());
-    }
-    for (k, m) in &ms.maps {
-        want.insert(k.clone(), nfl_interp::Value::Map(m.clone()));
-    }
-    want
-}
-
 /// Adversarial near-boundary packets: take a random packet and slam
 /// two of its fields onto tree-edge values (v-1 / v / v+1 for every
 /// exact arm, c-1 / c / c+1 for every range cut). Wherever the
@@ -205,7 +191,7 @@ fn near_boundary_packets_agree_with_model() {
                 assert_eq!(got.fired, want.fired, "{name}: fired entry");
                 assert_eq!(
                     cs.snapshot(&prog),
-                    model_snapshot(&ms),
+                    ms.snapshot(),
                     "{name}: post-state"
                 );
             },

@@ -51,7 +51,7 @@ pub struct ModelStep {
 }
 
 /// Concrete model state: configuration values, scalar states, and maps.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct ModelState {
     /// Config values by name (without the `cfg:` prefix).
     pub configs: BTreeMap<String, Value>,
@@ -59,6 +59,12 @@ pub struct ModelState {
     pub scalars: BTreeMap<String, Value>,
     /// Map state: map name → entries.
     pub maps: BTreeMap<String, BTreeMap<ValueKey, Value>>,
+    /// Scalar pre-images of what the most recent [`step`](Self::step)
+    /// committed, in commit order; [`revert`](Self::revert) replays them.
+    undo_scalars: Vec<(String, Option<Value>)>,
+    /// Map-entry pre-images of the most recent step:
+    /// `(map, key, previous value, whether the map existed)`.
+    undo_maps: Vec<(String, ValueKey, Option<Value>, bool)>,
 }
 
 impl ModelState {
@@ -80,8 +86,44 @@ impl ModelState {
         self
     }
 
+    /// The by-name view of all state: configs, scalars, and each map as
+    /// a [`Value::Map`] — the shape the interpreter's globals and the
+    /// compiled backend's snapshot take.
+    pub fn snapshot(&self) -> BTreeMap<String, Value> {
+        let mut out = self.configs.clone();
+        out.extend(self.scalars.clone());
+        for (k, m) in &self.maps {
+            out.insert(k.clone(), Value::Map(m.clone()));
+        }
+        out
+    }
+
+    /// Undo the most recent [`step`](Self::step): restore every scalar
+    /// and map entry it committed, in reverse commit order — O(writes
+    /// the packet made). A no-op when the step committed nothing.
+    pub fn revert(&mut self) {
+        while let Some((map, k, prev, existed)) = self.undo_maps.pop() {
+            if !existed {
+                self.maps.remove(&map);
+            } else if let Some(m) = self.maps.get_mut(&map) {
+                match prev {
+                    Some(v) => m.insert(k, v),
+                    None => m.remove(&k),
+                };
+            }
+        }
+        while let Some((name, prev)) = self.undo_scalars.pop() {
+            match prev {
+                Some(v) => self.scalars.insert(name, v),
+                None => self.scalars.remove(&name),
+            };
+        }
+    }
+
     /// Run one packet through `model`, mutating the state.
     pub fn step(&mut self, model: &Model, pkt: &Packet) -> Result<ModelStep, EvalError> {
+        self.undo_scalars.clear();
+        self.undo_maps.clear();
         for (ti, table) in model.tables.iter().enumerate() {
             // Configuration condition must hold for this deployment.
             if !self.all_true(&table.config, pkt)? {
@@ -166,19 +208,19 @@ impl ModelState {
                 }
             }
         }
+        // Commit, banking each write's pre-image for `revert`.
         for (name, v) in new_scalars {
-            self.scalars.insert(name, v);
+            let prev = self.scalars.insert(name.clone(), v);
+            self.undo_scalars.push((name, prev));
         }
         for (map, k, v) in map_commits {
-            let m = self.maps.entry(map).or_default();
-            match v {
-                Some(v) => {
-                    m.insert(k, v);
-                }
-                None => {
-                    m.remove(&k);
-                }
-            }
+            let existed = self.maps.contains_key(&map);
+            let m = self.maps.entry(map.clone()).or_default();
+            let prev = match v {
+                Some(v) => m.insert(k.clone(), v),
+                None => m.remove(&k),
+            };
+            self.undo_maps.push((map, k, prev, existed));
         }
         Ok(output)
     }

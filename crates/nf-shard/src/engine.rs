@@ -46,8 +46,9 @@
 //! unconditionally.
 //!
 //! Every mode runs **supervised**: each packet's eval is wrapped in
-//! `catch_unwind` behind a pre-image journal, so a panic or runtime
-//! error rolls partial state writes back and quarantines the packet
+//! `catch_unwind`, and a panic or runtime error from inside the step
+//! is undone from the backend's own undo log (O(entries the packet
+//! touched)) and quarantines the packet
 //! ([`crate::supervise`]) instead of aborting the run; the compiled
 //! backend additionally falls back to the model evaluator per packet
 //! on a compiled-engine error. A deterministic [`FaultPlan`] in the
@@ -165,11 +166,9 @@ pub struct BatchConfig {
     pub size: usize,
     /// Enable skew-aware rebalancing of new flows off overloaded
     /// shards (partitioned plans only; a no-op under the global lock).
+    /// A divert opens when a shard's queue passes 3/4 of the ring (in
+    /// bins) on threaded runs, or 3/4 of the batch size inline.
     pub rebalance: bool,
-    /// Queue-depth high-water mark that opens a divert; `0` picks a
-    /// transport-appropriate default (3/4 of the ring in bins for
-    /// threaded runs, 3/4 of the batch size for inline ones).
-    pub high_water: u64,
 }
 
 impl Default for BatchConfig {
@@ -177,7 +176,6 @@ impl Default for BatchConfig {
         BatchConfig {
             size: 32,
             rebalance: false,
-            high_water: 0,
         }
     }
 }
@@ -292,30 +290,18 @@ enum BackendState {
 impl BackendState {
     /// Process one packet, returning `(outputs, dropped)`.
     fn step(&mut self, model: Option<&Model>, pkt: &Packet) -> Result<(Vec<Packet>, bool), String> {
-        match self {
-            BackendState::Interp(i) => i
-                .process(pkt)
-                .map(|r| (r.outputs, r.dropped))
-                .map_err(|e| e.to_string()),
-            BackendState::Model(ms) => {
-                let Some(m) = model else {
-                    return Err("model backend without a model".into());
-                };
-                ms.step(m, pkt)
-                    .map(|s| {
-                        let dropped = s.output.is_none();
-                        (s.output.into_iter().collect(), dropped)
-                    })
-                    .map_err(|e| e.to_string())
+        let output = match self {
+            BackendState::Interp(i) => {
+                let r = i.process(pkt).map_err(|e| e.to_string())?;
+                return Ok((r.outputs, r.dropped));
             }
-            BackendState::Compiled { prog, state } => state
-                .step(prog, pkt)
-                .map(|s| {
-                    let dropped = s.output.is_none();
-                    (s.output.into_iter().collect(), dropped)
-                })
-                .map_err(|e| e.to_string()),
-        }
+            BackendState::Model(ms) => {
+                let m = model.ok_or("model backend without a model")?;
+                ms.step(m, pkt).map(|s| s.output)
+            }
+            BackendState::Compiled { prog, state } => state.step(prog, pkt).map(|s| s.output),
+        };
+        output.map(forwarded).map_err(|e| e.to_string())
     }
 
     /// A by-name snapshot of all persistent state.
@@ -326,19 +312,7 @@ impl BackendState {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
-            BackendState::Model(ms) => {
-                let mut out = BTreeMap::new();
-                for (k, v) in &ms.configs {
-                    out.insert(k.clone(), v.clone());
-                }
-                for (k, v) in &ms.scalars {
-                    out.insert(k.clone(), v.clone());
-                }
-                for (k, m) in &ms.maps {
-                    out.insert(k.clone(), Value::Map(m.clone()));
-                }
-                out
-            }
+            BackendState::Model(ms) => ms.snapshot(),
             BackendState::Compiled { prog, state } => state.snapshot(prog),
         }
     }
@@ -352,58 +326,25 @@ impl BackendState {
         }
     }
 
-    /// Capture the pre-image of everything a packet eval can mutate.
-    fn journal(&self) -> Journal {
+    /// Undo the most recent step's writes from the backend's own undo
+    /// log — O(entries the packet touched), never a copy of the state —
+    /// so a failed packet leaves no trace, however far into a fire it
+    /// got.
+    fn revert(&mut self) {
         match self {
-            BackendState::Interp(i) => Journal::Interp {
-                globals: i.globals.clone(),
-                packets_seen: i.packets_seen(),
-            },
-            BackendState::Model(ms) => Journal::Model {
-                scalars: ms.scalars.clone(),
-                maps: ms.maps.clone(),
-            },
-            BackendState::Compiled { state, .. } => Journal::Compiled {
-                generation: state.generation(),
-            },
+            BackendState::Interp(i) => i.revert(),
+            BackendState::Model(ms) => ms.revert(),
+            BackendState::Compiled { state, .. } => state.revert(),
         }
     }
 
-    /// Restore the pre-image captured by [`journal`](Self::journal): a
-    /// failed packet leaves no trace, however far into a fire it got.
-    fn rollback(&mut self, journal: Journal) {
-        match (self, journal) {
-            (BackendState::Interp(i), Journal::Interp { globals, packets_seen }) => {
-                i.globals = globals;
-                i.rewind_packets_seen(packets_seen);
-            }
-            (BackendState::Model(ms), Journal::Model { scalars, maps }) => {
-                ms.scalars = scalars;
-                ms.maps = maps;
-            }
-            (BackendState::Compiled { state, .. }, Journal::Compiled { generation }) => {
-                if state.generation() != generation {
-                    state.revert();
-                }
-            }
-            // A journal is only ever replayed into the state it was
-            // captured from; a variant mismatch cannot happen.
-            _ => {}
-        }
-    }
-
-    /// Supervisor restart: rebuild derived caches from the persistent
-    /// state snapshot. Only the compiled backend carries derived state
-    /// (the predicate memo and its generation counter); the interpreter
-    /// and model evaluator *are* their persistent state, so a restart
-    /// is a no-op for them beyond the supervisor's accounting.
+    /// Supervisor restart: drop derived caches. Only the compiled
+    /// backend carries any (the predicate memo); the interpreter and
+    /// model evaluator *are* their persistent state, so a restart is a
+    /// no-op for them beyond the supervisor's accounting.
     fn refresh(&mut self) {
-        if let BackendState::Compiled { prog, state } = self {
-            let snap = state.snapshot(prog);
-            let mut fresh = CompiledState::new(prog);
-            if fresh.restore(prog, &snap).is_ok() {
-                *state = fresh;
-            }
+        if let BackendState::Compiled { state, .. } = self {
+            state.reset_memo();
         }
     }
 
@@ -441,51 +382,23 @@ impl BackendState {
             }
         }
         let s = ms.step(fb_model, pkt).map_err(|e| e.to_string())?;
-        let mut post = BTreeMap::new();
-        for (k, v) in &ms.configs {
-            post.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &ms.scalars {
-            post.insert(k.clone(), v.clone());
-        }
-        for (k, m) in &ms.maps {
-            post.insert(k.clone(), Value::Map(m.clone()));
-        }
-        state.restore(prog, &post)?;
-        let dropped = s.output.is_none();
-        Ok((s.output.into_iter().collect(), dropped))
+        state.restore(prog, &ms.snapshot())?;
+        Ok(forwarded(s.output))
     }
 }
 
-/// Pre-image of one packet's mutable state, captured before eval and
-/// restored on contained failure (see [`BackendState::journal`]).
-enum Journal {
-    Interp {
-        globals: HashMap<String, Value>,
-        packets_seen: u64,
-    },
-    Model {
-        scalars: BTreeMap<String, Value>,
-        maps: BTreeMap<String, BTreeMap<ValueKey, Value>>,
-    },
-    /// The compiled backend journals only its step generation: its
-    /// `step` is two-phase (all fallible evaluation precedes an
-    /// infallible commit) and banks per-entry pre-images as it
-    /// commits, so rollback is `CompiledState::revert` — O(entries
-    /// the packet touched), where a full pre-clone would be O(live
-    /// flows) per packet. The generation tells rollback whether a
-    /// step began at all: an injected fault fails *before* stepping,
-    /// and replaying the previous packet's undo log there would
-    /// un-commit a successful packet. The interpreter mutates state
-    /// mid-eval, so it still needs the full pre-image.
-    Compiled { generation: u64 },
+/// `(outputs, dropped)` for a model-shaped step's optional output.
+fn forwarded(output: Option<Packet>) -> (Vec<Packet>, bool) {
+    let dropped = output.is_none();
+    (output.into_iter().collect(), dropped)
 }
 
-/// One isolated eval: apply eval-side faults, journal, step under
-/// `catch_unwind`, roll back on any failure. `Err` carries the
-/// quarantine reason, and the state is pre-packet clean whenever it is
-/// returned. A compiled-engine *error* (not a panic) retries the packet
-/// on the model evaluator when a fallback is available.
+/// One isolated eval: apply eval-side faults, step under
+/// `catch_unwind`, and revert the step on any failure from inside it.
+/// `Err` carries the quarantine reason, and the state is pre-packet
+/// clean whenever it is returned. A compiled-engine *error* (not a
+/// panic) retries the packet on the model evaluator when a fallback is
+/// available.
 #[allow(clippy::too_many_arguments)]
 fn supervised_step(
     state: &mut BackendState,
@@ -514,7 +427,6 @@ fn supervised_step(
         // before eval so no corrupted bytes reach the state.
         return Err("garbage packet detected before eval".into());
     }
-    let journal = state.journal();
     let stepped = quiet_catch_unwind(|| {
         if inject_panic {
             panic!("injected fault: panic on shard {shard} packet {nth}");
@@ -524,10 +436,15 @@ fn supervised_step(
         }
         state.step(model, pkt)
     });
+    // An injected fault fires before the step begins, so there is
+    // nothing to undo — and reverting would replay the previous
+    // packet's log.
+    if !matches!(stepped, Ok(Ok(_))) && !inject_panic && !inject_err {
+        state.revert();
+    }
     match stepped {
         Ok(Ok(out)) => Ok(out),
         Ok(Err(e)) => {
-            state.rollback(journal);
             if let Some((fb_model, template)) = fallback {
                 match state.fallback_step(fb_model, template, pkt) {
                     Ok(out) => {
@@ -539,10 +456,7 @@ fn supervised_step(
             }
             Err(e)
         }
-        Err(msg) => {
-            state.rollback(journal);
-            Err(format!("panicked: {msg}"))
-        }
+        Err(msg) => Err(format!("panicked: {msg}")),
     }
 }
 
@@ -1262,11 +1176,8 @@ impl ShardEngine {
         let ring_bins = (RING_CAP / batch).max(2);
         // The divert high-water mark is in the transport's load unit:
         // bins queued on a ring, or packets routed in one round.
-        let high_water = match cfg.batch.high_water {
-            0 if threaded => (ring_bins as u64 * 3 / 4).max(1),
-            0 => (batch as u64 * 3 / 4).max(1),
-            h => h,
-        };
+        let unit = if threaded { ring_bins } else { batch };
+        let high_water = (unit as u64 * 3 / 4).max(1);
         let telemetry_on = self.telemetry_on();
         let rebalancer =
             Rebalancer::new(cfg.batch.rebalance && key.is_some() && n > 1, n, high_water);
@@ -1719,7 +1630,7 @@ fn merge_partitioned_map(
     }
     // Entries deleted (map_remove) on their owning shard must not
     // survive via another shard's untouched initial copy.
-    let mut removed: Vec<nfl_interp::ValueKey> = Vec::new();
+    let mut removed: Vec<ValueKey> = Vec::new();
     for k in init_map.keys() {
         if values.iter().any(|v| match v {
             Value::Map(m) => !m.contains_key(k),
@@ -1961,7 +1872,7 @@ mod tests {
     #[test]
     fn organic_mid_fire_error_rolls_back_partial_writes() {
         // `total` is bumped before the missing-key read faults; without
-        // journal rollback the counter would leak one per bad packet.
+        // the revert the counter would leak one per bad packet.
         let src = r#"
             state total = 0;
             state m = map();
@@ -2157,7 +2068,7 @@ mod tests {
         let single = engine
             .run_with(SliceSource::new(&packets), &RunConfig::single())
             .unwrap();
-        let batch = BatchConfig { size: 32, high_water: 1, ..BatchConfig::default() };
+        let batch = BatchConfig { size: 2, ..BatchConfig::default() };
         let cfg = RunConfig::sequential().with_batch(batch).with_rebalance(true);
         let run = engine.run_with(SliceSource::new(&packets), &cfg).unwrap();
         assert!(run.migrations > 0, "skewed load should migrate new flows");

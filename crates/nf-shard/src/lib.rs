@@ -30,9 +30,9 @@
 //! locality the dispatch exists to provide.
 //!
 //! The runtime is **supervised** ([`supervise`]): each packet's eval is
-//! isolated behind `catch_unwind` with journal-based state rollback, a
-//! failing packet is quarantined instead of aborting the run, a shard
-//! that fails repeatedly is rebuilt with state handoff, and a
+//! isolated behind `catch_unwind` and a failed step is undone from the
+//! backend's own undo log, a failing packet is quarantined instead of
+//! aborting the run, a shard that fails repeatedly is restarted, and a
 //! deterministic [`nf_support::fault`] plan can inject
 //! panic/error/delay/ring-overflow/garbage faults at chosen
 //! `(shard, nth-packet)` points — the chaos differential suite's

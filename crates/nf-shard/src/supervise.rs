@@ -8,8 +8,8 @@
 //!    the run down. The engine wraps each eval in
 //!    [`quiet_catch_unwind`] (a `catch_unwind` whose panic output is
 //!    suppressed, because an *injected* or *contained* panic is not an
-//!    emergency worth a stderr backtrace) and rolls partial state
-//!    writes back from a pre-image journal.
+//!    emergency worth a stderr backtrace) and undoes a failed step's
+//!    partial state writes from the backend's undo log.
 //! 2. **Account** — every contained failure becomes a
 //!    [`QuarantineRecord`] carrying the packet, the error, and where it
 //!    happened. Records are bounded by
@@ -18,10 +18,9 @@
 //!    JSON whose `trace` form `nfactor run --workload` can replay
 //!    directly — a quarantined packet is a ready-made fuzz/ddmin input.
 //! 3. **Recover** — after [`SupervisorPolicy::restart_after`]
-//!    consecutive failures on one shard the engine rebuilds that
-//!    shard's evaluator from scratch and hands the persistent state
-//!    snapshot over, clearing any derived caches a misbehaving packet
-//!    may have corrupted.
+//!    consecutive failures on one shard the engine restarts that
+//!    shard's evaluator, clearing any derived caches a misbehaving
+//!    packet may have corrupted while keeping its persistent state.
 
 use nf_packet::{Field, Packet};
 use nf_support::json::{ToJson, Value as Json};
@@ -31,7 +30,7 @@ use std::sync::Once;
 /// Knobs for the shard supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Rebuild a shard's evaluator (with state handoff) after this many
+    /// Restart a shard's evaluator (dropping derived caches) after this many
     /// *consecutive* quarantined packets.
     pub restart_after: u32,
     /// Retain at most this many full quarantine records per run; the

@@ -9,7 +9,7 @@
 //! knob of Figure 6.
 
 use crate::trace::{Trace, TraceEvent};
-use crate::value::{stable_hash, Value};
+use crate::value::{stable_hash, Value, ValueKey};
 use nf_packet::{frag, Packet};
 use nfl_analysis::normalize::PacketLoop;
 use nfl_lang::{BinOp, Expr, ExprKind, ForIter, LValue, Program, Stmt, StmtKind, UnOp};
@@ -84,6 +84,17 @@ enum Flow {
     Continue,
 }
 
+/// The pre-image of one write the current `process` call made.
+#[derive(Debug, Clone)]
+enum Undo {
+    /// The packet counter before the bump.
+    Seen(u64),
+    /// A whole global's previous value.
+    Global(String, Value),
+    /// One entry of a global map: its key and previous value.
+    Entry(String, ValueKey, Option<Value>),
+}
+
 /// The interpreter: program + persistent globals.
 #[derive(Debug, Clone)]
 pub struct Interp {
@@ -95,6 +106,10 @@ pub struct Interp {
     /// Names that are `config`s (settable before the first packet).
     config_names: Vec<String>,
     packets_seen: u64,
+    /// Pre-images of every write the most recent [`process`](Self::process)
+    /// made, in write order; [`revert`](Self::revert) replays them
+    /// backwards. A map write banks only the entry it touched.
+    undo: Vec<Undo>,
 }
 
 struct Ctx {
@@ -116,6 +131,7 @@ impl Interp {
             globals: HashMap::new(),
             config_names: pl.program.configs.iter().map(|i| i.name.clone()).collect(),
             packets_seen: 0,
+            undo: Vec::new(),
         };
         let mut ctx = Ctx {
             outputs: Vec::new(),
@@ -137,6 +153,7 @@ impl Interp {
             let v = interp.eval(&item.init, &mut locals, &mut ctx)?;
             interp.globals.insert(item.name.clone(), v);
         }
+        interp.undo.clear();
         Ok(interp)
     }
 
@@ -160,13 +177,10 @@ impl Interp {
         self.packets_seen
     }
 
-    /// Reset the processed-packet counter to an earlier value.
-    ///
-    /// Used by the shard supervisor's per-packet rollback: `process`
-    /// bumps the counter before executing, so undoing a failed packet
-    /// means restoring both the touched globals *and* this counter
-    /// (otherwise a rolled-back run would diverge from a clean one on
-    /// `set_config`'s traffic-started check and in accounting).
+    /// Reset the processed-packet counter to an earlier value, for a
+    /// caller that restores saved [`globals`](Self::globals) by hand
+    /// (`process` bumps the counter before executing).
+    /// [`revert`](Self::revert) rewinds it on its own.
     pub fn rewind_packets_seen(&mut self, n: u64) {
         self.packets_seen = self.packets_seen.min(n);
     }
@@ -176,8 +190,56 @@ impl Interp {
         self.globals.get(name)
     }
 
+    /// Undo the most recent [`process`](Self::process), whether it
+    /// returned `Ok` or `Err`: restore every global it wrote and the
+    /// packet counter, in reverse write order. Costs O(writes the packet
+    /// made), not O(state); a second call is a no-op.
+    pub fn revert(&mut self) {
+        while let Some(u) = self.undo.pop() {
+            match u {
+                Undo::Seen(n) => self.packets_seen = n,
+                Undo::Global(name, v) => {
+                    self.globals.insert(name, v);
+                }
+                Undo::Entry(name, k, prev) => {
+                    if let Some(Value::Map(m)) = self.globals.get_mut(&name) {
+                        match prev {
+                            Some(v) => m.insert(k, v),
+                            None => m.remove(&k),
+                        };
+                    }
+                }
+            }
+        }
+    }
+
+    /// The variable `base` for a write: a local, or a global whose
+    /// pre-image is banked first — only entry `key` when the global is a
+    /// map and a key is given, else the whole value.
+    fn slot_mut<'a>(
+        &'a mut self,
+        base: &str,
+        key: Option<&ValueKey>,
+        locals: &'a mut HashMap<String, Value>,
+    ) -> Result<&'a mut Value, RuntimeError> {
+        if let Some(v) = locals.get_mut(base) {
+            return Ok(v);
+        }
+        let v = self
+            .globals
+            .get_mut(base)
+            .ok_or_else(|| RuntimeError::Unbound(base.to_string()))?;
+        self.undo.push(match (&*v, key) {
+            (Value::Map(m), Some(k)) => Undo::Entry(base.to_string(), k.clone(), m.get(k).cloned()),
+            _ => Undo::Global(base.to_string(), v.clone()),
+        });
+        Ok(v)
+    }
+
     /// Process one packet through the per-packet function.
     pub fn process(&mut self, pkt: &Packet) -> Result<StepResult, RuntimeError> {
+        self.undo.clear();
+        self.undo.push(Undo::Seen(self.packets_seen));
         self.packets_seen += 1;
         let f = self
             .program
@@ -387,8 +449,9 @@ impl Interp {
             LValue::Var(name) => {
                 if locals.contains_key(name) {
                     locals.insert(name.clone(), v);
-                } else if self.globals.contains_key(name) {
-                    self.globals.insert(name.clone(), v);
+                } else if let Some(slot) = self.globals.get_mut(name) {
+                    let prev = std::mem::replace(slot, v);
+                    self.undo.push(Undo::Global(name.clone(), prev));
                 } else {
                     return Err(RuntimeError::Unbound(name.clone()));
                 }
@@ -396,13 +459,10 @@ impl Interp {
             }
             LValue::Index(base, key) => {
                 let k = self.eval(key, locals, ctx)?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                match slot {
+                let key = k.as_key();
+                match self.slot_mut(base, key.as_ref(), locals)? {
                     Value::Map(m) => {
-                        let key = k.as_key().ok_or_else(|| {
+                        let key = key.ok_or_else(|| {
                             RuntimeError::Type(format!("{} is not keyable", k.type_name()))
                         })?;
                         m.insert(key, v);
@@ -433,11 +493,7 @@ impl Interp {
                 let iv = v
                     .as_int()
                     .ok_or_else(|| RuntimeError::Type("packet fields take ints".into()))?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                match slot {
+                match self.slot_mut(base, None, locals)? {
                     Value::Packet(p) => {
                         let uv = u64::try_from(iv).map_err(|_| {
                             RuntimeError::Packet(format!("negative field value {iv}"))
@@ -678,11 +734,7 @@ impl Interp {
                 let key = k
                     .as_key()
                     .ok_or_else(|| RuntimeError::Type("unkeyable".into()))?;
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                if let Value::Map(m) = slot {
+                if let Value::Map(m) = self.slot_mut(base, Some(&key), locals)? {
                     m.remove(&key);
                     return Ok(Value::Unit);
                 }
@@ -696,11 +748,7 @@ impl Interp {
                 let Value::Packet(p) = v else {
                     return Err(RuntimeError::Type("q_push takes a packet".into()));
                 };
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                if let Value::Queue(q) = slot {
+                if let Value::Queue(q) = self.slot_mut(base, None, locals)? {
                     q.push_back(p);
                     return Ok(Value::Unit);
                 }
@@ -710,11 +758,7 @@ impl Interp {
                 let ExprKind::Var(base) = &args[0].kind else {
                     return Err(RuntimeError::Type("q_pop needs a variable".into()));
                 };
-                let slot = locals
-                    .get_mut(base)
-                    .or_else(|| self.globals.get_mut(base))
-                    .ok_or_else(|| RuntimeError::Unbound(base.clone()))?;
-                if let Value::Queue(q) = slot {
+                if let Value::Queue(q) = self.slot_mut(base, None, locals)? {
                     return q
                         .pop_front()
                         .map(Value::Packet)
@@ -1237,5 +1281,55 @@ mod more_tests {
         let inner_ctrl = r.trace.events[send_idx].ctrl.unwrap();
         let outer_ctrl = r.trace.events[inner_ctrl].ctrl.unwrap();
         assert!(r.trace.events[outer_ctrl].ctrl.is_none(), "two levels deep");
+    }
+
+    /// An NF whose `dport` picks one container write on a global and
+    /// whose TTL-1 packets then fault (missing key) in the same packet.
+    const UNDO_NF: &str = r#"
+        state m = map();
+        state q = queue();
+        fn cb(pkt: packet) {
+            if pkt.tcp.dport == 1 { m[pkt.tcp.sport] = pkt.ip.ttl; }
+            if pkt.tcp.dport == 2 { map_remove(m, pkt.tcp.sport); }
+            if pkt.tcp.dport == 3 { q_push(q, pkt); }
+            if pkt.tcp.dport == 4 { send(q_pop(q)); }
+            if pkt.ip.ttl == 1 {
+                if m[999999] > 0 { send(pkt); }
+            }
+        }
+        fn main() { sniff(cb); }
+    "#;
+
+    fn undo_pkt(sport: u16, op: u16, fault: bool) -> Packet {
+        let src = parse_ipv4("10.0.0.1").unwrap();
+        let mut p = Packet::tcp(src, sport, parse_ipv4("3.3.3.3").unwrap(), op, TcpFlags::syn());
+        p.ip_ttl = if fault { 1 } else { 64 };
+        p
+    }
+
+    #[test]
+    fn revert_undoes_container_writes_before_a_fault() {
+        let mut i = interp_of(UNDO_NF);
+        // Entries 10 and 11 in `m`, two packets queued in `q`.
+        for (sport, op) in [(10, 1), (11, 1), (20, 3), (21, 3)] {
+            i.process(&undo_pkt(sport, op, false)).unwrap();
+        }
+        // Overwrite an entry, insert a new one, remove one, push, pop —
+        // each followed by a fault in the same packet.
+        for (sport, op) in [(10, 1), (12, 1), (11, 2), (22, 3), (0, 4)] {
+            let (globals, seen) = (i.globals.clone(), i.packets_seen());
+            assert!(i.process(&undo_pkt(sport, op, true)).is_err());
+            assert_ne!(i.globals, globals, "op {op} wrote before faulting");
+            i.revert();
+            assert_eq!(i.globals, globals, "op {op} reverted");
+            assert_eq!(i.packets_seen(), seen);
+            i.revert(); // a second revert has nothing left to undo
+            assert_eq!(i.globals, globals);
+        }
+        // A successful packet reverts just as exactly.
+        let globals = i.globals.clone();
+        i.process(&undo_pkt(10, 2, false)).unwrap();
+        i.revert();
+        assert_eq!(i.globals, globals);
     }
 }

@@ -150,6 +150,28 @@ if [ "$pkts" != "1000000" ]; then
 fi
 echo "    1000000 .nfw packets streamed across 4 shards at batch 32: ok"
 
+echo "==> streaming smoke: firewall .nfw on every backend, exact packet accounting"
+# The firewall keeps one pinhole per outbound flow, so live state grows
+# with the trace. Each backend undoes a failed packet from its own undo
+# log, never a copy of that state, so no per-packet cost grows with it:
+# the interpreter and the model evaluator stream 100k packets, the
+# compiled engine the 1M trace above. Every offered packet must be
+# processed, quarantined or dropped.
+./target/release/nfactor workload --seed 7 --packets 100000 "$tracedir/fw.nfw" > /dev/null
+for run in interp:fw:100000 model:fw:100000 compiled:big:1000000; do
+    IFS=: read -r backend trace n <<< "$run"
+    out=$(./target/release/nfactor run --corpus firewall --workload "$tracedir/$trace.nfw" \
+        --backend "$backend" --shards 4 --batch 32)
+    get() { printf '%s\n' "$out" | awk -v k="$1" '$1 == k {print $3}'; }
+    pkts=$(get packets); q=$(get quarantined); rd=$(get ring-dropped); offered=$(get offered)
+    if [ "$offered" != "$n" ] || [ "$((pkts + q + rd))" -ne "$n" ]; then
+        echo "    firewall/$backend: packets ($pkts) + quarantined ($q) + ring-dropped ($rd)" \
+            "!= offered ($offered) != $n:"
+        echo "$out"; exit 1
+    fi
+    echo "    firewall/$backend: $n .nfw packets, $pkts processed, all accounted for: ok"
+done
+
 echo "==> incremental lint smoke: --watch re-lints the edit, metrics show cache hits"
 # First poll lints cold; the appended trailing comment re-parses but
 # early-cuts, so the diagnostic set must not change (no +/- lines), and

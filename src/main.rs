@@ -31,12 +31,12 @@
 //! `nf-compile` decision-tree engine.
 //!
 //! The run is supervised: a packet whose eval panics or errors is
-//! quarantined (with journal rollback of partial state writes) instead
-//! of aborting the run. `--fault-plan SPEC` injects deterministic
-//! faults (`panic@1:3,delay@*:2:500,...`) for chaos testing, and
-//! `--quarantine-out FILE` dumps the quarantined packets as JSON whose
-//! `trace` key is itself a valid `--workload` file — a ready-made
-//! replay/ddmin input.
+//! quarantined (its partial state writes undone from the backend's
+//! undo log) instead of aborting the run. `--fault-plan SPEC` injects
+//! deterministic faults (`panic@1:3,delay@*:2:500,...`) for chaos
+//! testing, and `--quarantine-out FILE` dumps the quarantined packets
+//! as JSON whose `trace` key is itself a valid `--workload` file — a
+//! ready-made replay/ddmin input.
 //!
 //! Synthesis-based commands accept `--timeout-ms N` and `--max-paths N`,
 //! which bound the run with a [`Budget`](nfactor::support::budget::Budget);
