@@ -315,60 +315,6 @@ impl CompiledState {
         }
         out
     }
-
-    /// Rebuild the dense state from a `name -> value` snapshot (the
-    /// shape [`snapshot`](CompiledState::snapshot) and the reference
-    /// backends produce), dropping every memoised predicate.
-    ///
-    /// This is the supervisor's state-handoff surface: a per-packet
-    /// fallback writes the reference model's post-state back through it.
-    ///
-    /// Fails (leaving `self` untouched) when the snapshot names a state
-    /// the program does not know, or carries a non-map value for a map
-    /// state — both signal a snapshot from a different deployment.
-    pub fn restore(
-        &mut self,
-        prog: &CompiledProgram,
-        snap: &BTreeMap<String, Value>,
-    ) -> Result<(), String> {
-        let mut slots: Vec<Option<Value>> = vec![None; prog.slot_names.len()];
-        let mut maps: Vec<HashMap<ValueKey, Value>> =
-            vec![HashMap::new(); prog.map_names.len()];
-        let mut materialized = vec![false; prog.map_names.len()];
-        for (name, value) in snap {
-            if prog.configs.iter().any(|(k, _)| k == name) {
-                // Configs were constant-folded at compile time; the
-                // snapshot still carries them for observability.
-                continue;
-            }
-            if let Some(i) = prog.slot_names.iter().position(|n| n == name) {
-                slots[i] = Some(value.clone());
-            } else if let Some(i) = prog.map_names.iter().position(|n| n == name) {
-                match value {
-                    Value::Map(entries) => {
-                        maps[i] = entries
-                            .iter()
-                            .map(|(k, v)| (k.clone(), v.clone()))
-                            .collect();
-                        materialized[i] = true;
-                    }
-                    other => {
-                        return Err(format!(
-                            "restore: state `{name}` is a map but snapshot holds {other:?}"
-                        ))
-                    }
-                }
-            } else {
-                return Err(format!("restore: unknown state `{name}` in snapshot"));
-            }
-        }
-        self.slots = slots;
-        self.maps = maps;
-        self.materialized = materialized;
-        self.memo = vec![(0, false); prog.state_preds.len()];
-        self.generation = 0;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -438,56 +384,6 @@ mod tests {
             init,
             &[tcp(5555, 80), tcp(5555, 80), tcp(7777, 80), tcp(5555, 443)],
         );
-    }
-
-    #[test]
-    fn restore_roundtrips_snapshot_and_rejects_foreign_state() {
-        let src = r#"
-            state nat = map();
-            state next = 10000;
-            fn cb(pkt: packet) {
-                let k = (pkt.ip.src, pkt.tcp.sport);
-                if k not in nat {
-                    nat[k] = next;
-                    next = next + 1;
-                }
-                pkt.tcp.sport = nat[k];
-                send(pkt);
-            }
-            fn main() { sniff(cb); }
-        "#;
-        let m = model_of(src);
-        let init = ModelState::default()
-            .with_scalar("next", Value::Int(10000))
-            .with_map("nat");
-        let prog = compile(&m, &init).unwrap();
-        let mut cs = CompiledState::new(&prog);
-        for p in [tcp(5555, 80), tcp(7777, 80)] {
-            cs.step(&prog, &p).unwrap();
-        }
-        let snap = cs.snapshot(&prog);
-
-        // A fresh state restored from the snapshot observes the same
-        // state and keeps agreeing with the original on further traffic.
-        let mut restored = CompiledState::new(&prog);
-        restored.restore(&prog, &snap).unwrap();
-        assert_eq!(restored.snapshot(&prog), snap);
-        for p in [tcp(5555, 443), tcp(9999, 80)] {
-            let a = cs.step(&prog, &p).unwrap();
-            let b = restored.step(&prog, &p).unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(restored.snapshot(&prog), cs.snapshot(&prog));
-
-        // Foreign snapshots are rejected without mutating the state.
-        let before = restored.snapshot(&prog);
-        let mut foreign = snap.clone();
-        foreign.insert("no_such_state".into(), Value::Int(1));
-        assert!(restored.restore(&prog, &foreign).is_err());
-        let mut wrong_shape = snap.clone();
-        wrong_shape.insert("nat".into(), Value::Int(1));
-        assert!(restored.restore(&prog, &wrong_shape).is_err());
-        assert_eq!(restored.snapshot(&prog), before);
     }
 
     #[test]

@@ -48,13 +48,11 @@
 //! Every mode runs **supervised**: each packet's eval is wrapped in
 //! `catch_unwind`, and a panic or runtime error from inside the step
 //! is undone from the backend's own undo log (O(entries the packet
-//! touched)) and quarantines the packet
-//! ([`crate::supervise`]) instead of aborting the run; the compiled
-//! backend additionally falls back to the model evaluator per packet
-//! on a compiled-engine error. A deterministic [`FaultPlan`] in the
-//! [`RunConfig`] threads through dispatch and eval so the chaos
-//! differential suite can prove that non-quarantined behaviour is
-//! byte-identical to the fault-free run.
+//! touched)) and quarantines the packet ([`crate::supervise`]) instead
+//! of aborting the run, the same way on every backend. A deterministic
+//! [`FaultPlan`] in the [`RunConfig`] threads through dispatch and
+//! eval so the chaos differential suite can prove that non-quarantined
+//! behaviour is byte-identical to the fault-free run.
 
 use crate::dispatch::{dispatch_hash, dispatch_values};
 use crate::plan::ShardPlan;
@@ -254,8 +252,6 @@ pub struct FaultSummary {
     /// Failed enqueue attempts (ring full) absorbed by dispatch
     /// backoff.
     pub retries: u64,
-    /// Per-packet compiled→model fallbacks.
-    pub fallbacks: u64,
     /// New flows the skew-aware rebalancer migrated off overloaded
     /// shards.
     pub migrations: u64,
@@ -269,18 +265,21 @@ impl FaultSummary {
             || self.dropped > 0
             || self.restarts > 0
             || self.retries > 0
-            || self.fallbacks > 0
             || self.migrations > 0
     }
 }
 
-/// Per-shard program state: an interpreter, a model-state instance, or
-/// a compiled program plus its dense state arena (the program itself is
-/// immutable and shared across shards via `Arc`).
+/// Per-shard program state: an interpreter, a model plus its state
+/// instance, or a compiled program plus its dense state arena (the
+/// model and the program are immutable and shared across shards via
+/// `Arc`).
 #[derive(Debug, Clone)]
 enum BackendState {
     Interp(Interp),
-    Model(ModelState),
+    Model {
+        model: Arc<Model>,
+        state: ModelState,
+    },
     Compiled {
         prog: Arc<CompiledProgram>,
         state: CompiledState,
@@ -289,16 +288,13 @@ enum BackendState {
 
 impl BackendState {
     /// Process one packet, returning `(outputs, dropped)`.
-    fn step(&mut self, model: Option<&Model>, pkt: &Packet) -> Result<(Vec<Packet>, bool), String> {
+    fn step(&mut self, pkt: &Packet) -> Result<(Vec<Packet>, bool), String> {
         let output = match self {
             BackendState::Interp(i) => {
                 let r = i.process(pkt).map_err(|e| e.to_string())?;
                 return Ok((r.outputs, r.dropped));
             }
-            BackendState::Model(ms) => {
-                let m = model.ok_or("model backend without a model")?;
-                ms.step(m, pkt).map(|s| s.output)
-            }
+            BackendState::Model { model, state } => state.step(model, pkt).map(|s| s.output),
             BackendState::Compiled { prog, state } => state.step(prog, pkt).map(|s| s.output),
         };
         output.map(forwarded).map_err(|e| e.to_string())
@@ -312,7 +308,7 @@ impl BackendState {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
-            BackendState::Model(ms) => ms.snapshot(),
+            BackendState::Model { state, .. } => state.snapshot(),
             BackendState::Compiled { prog, state } => state.snapshot(prog),
         }
     }
@@ -321,7 +317,7 @@ impl BackendState {
     fn label(&self) -> &'static str {
         match self {
             BackendState::Interp(_) => "interp",
-            BackendState::Model(_) => "model",
+            BackendState::Model { .. } => "model",
             BackendState::Compiled { .. } => "compiled",
         }
     }
@@ -333,7 +329,7 @@ impl BackendState {
     fn revert(&mut self) {
         match self {
             BackendState::Interp(i) => i.revert(),
-            BackendState::Model(ms) => ms.revert(),
+            BackendState::Model { state, .. } => state.revert(),
             BackendState::Compiled { state, .. } => state.revert(),
         }
     }
@@ -347,44 +343,6 @@ impl BackendState {
             state.reset_memo();
         }
     }
-
-    /// The per-packet compiled→model fallback: evaluate this packet on
-    /// the reference model over the compiled state's snapshot, then
-    /// write the model's post-state back into the dense arenas. The
-    /// compiled engine's one-sided contract (identical behaviour
-    /// wherever the reference succeeds) makes this exact: any packet
-    /// the model can evaluate produces the same output either way.
-    fn fallback_step(
-        &mut self,
-        fb_model: &Model,
-        template: &ModelState,
-        pkt: &Packet,
-    ) -> Result<(Vec<Packet>, bool), String> {
-        let BackendState::Compiled { prog, state } = self else {
-            return Err("fallback is only defined for the compiled backend".into());
-        };
-        let snap = state.snapshot(prog);
-        // Seed from the template (the t=0 ModelState the program was
-        // compiled against) so the config/scalar/map split matches the
-        // model's view, then overlay the live snapshot.
-        let mut ms = template.clone();
-        for (k, v) in &snap {
-            if ms.configs.contains_key(k) {
-                continue;
-            }
-            match v {
-                Value::Map(m) => {
-                    ms.maps.insert(k.clone(), m.clone());
-                }
-                other => {
-                    ms.scalars.insert(k.clone(), other.clone());
-                }
-            }
-        }
-        let s = ms.step(fb_model, pkt).map_err(|e| e.to_string())?;
-        state.restore(prog, &ms.snapshot())?;
-        Ok(forwarded(s.output))
-    }
 }
 
 /// `(outputs, dropped)` for a model-shaped step's optional output.
@@ -396,19 +354,13 @@ fn forwarded(output: Option<Packet>) -> (Vec<Packet>, bool) {
 /// One isolated eval: apply eval-side faults, step under
 /// `catch_unwind`, and revert the step on any failure from inside it.
 /// `Err` carries the quarantine reason, and the state is pre-packet
-/// clean whenever it is returned. A compiled-engine *error* (not a
-/// panic) retries the packet on the model evaluator when a fallback is
-/// available.
-#[allow(clippy::too_many_arguments)]
+/// clean whenever it is returned — the same on every backend.
 fn supervised_step(
     state: &mut BackendState,
-    model: Option<&Model>,
-    fallback: Option<&(Model, ModelState)>,
     shard: usize,
     nth: u64,
     pkt: &Packet,
     faults: &FaultPlan,
-    fallbacks: &mut u64,
 ) -> Result<(Vec<Packet>, bool), String> {
     let (mut inject_panic, mut inject_err, mut garbage) = (false, false, false);
     if !faults.is_empty() {
@@ -434,7 +386,7 @@ fn supervised_step(
         if inject_err {
             return Err(format!("injected fault: eval error on shard {shard} packet {nth}"));
         }
-        state.step(model, pkt)
+        state.step(pkt)
     });
     // An injected fault fires before the step begins, so there is
     // nothing to undo — and reverting would replay the previous
@@ -442,22 +394,7 @@ fn supervised_step(
     if !matches!(stepped, Ok(Ok(_))) && !inject_panic && !inject_err {
         state.revert();
     }
-    match stepped {
-        Ok(Ok(out)) => Ok(out),
-        Ok(Err(e)) => {
-            if let Some((fb_model, template)) = fallback {
-                match state.fallback_step(fb_model, template, pkt) {
-                    Ok(out) => {
-                        *fallbacks += 1;
-                        return Ok(out);
-                    }
-                    Err(fe) => return Err(format!("{e}; model fallback failed: {fe}")),
-                }
-            }
-            Err(e)
-        }
-        Err(msg) => Err(format!("panicked: {msg}")),
-    }
+    stepped.unwrap_or_else(|msg| Err(format!("panicked: {msg}")))
 }
 
 /// Dispatch-side faults at `(shard, nth)`: forced ring-full attempts
@@ -737,13 +674,11 @@ enum Transport<'a> {
 /// The back end every run mode shares: one shard's supervised
 /// per-packet step and everything it accounts — retained outputs,
 /// packet and busy-time counters, the quarantine buffer, the
-/// consecutive-failure streak, restarts, fallbacks and telemetry. The
-/// program state it steps is passed in, so a global-lock plan's
-/// virtual shards can share one [`BackendState`].
+/// consecutive-failure streak, restarts and telemetry. The program
+/// state it steps is passed in, so a global-lock plan's virtual shards
+/// can share one [`BackendState`].
 struct ShardWorker {
     shard: usize,
-    model: Option<Arc<Model>>,
-    fallback: Option<Arc<(Model, ModelState)>>,
     faults: FaultPlan,
     policy: SupervisorPolicy,
     label: &'static str,
@@ -755,7 +690,6 @@ struct ShardWorker {
     quarantine: Quarantine,
     fail_streak: u32,
     restarts: u64,
-    fallbacks: u64,
     tel: Option<WorkerTelemetry>,
 }
 
@@ -771,16 +705,7 @@ impl ShardWorker {
         pkt: &Packet,
     ) {
         let t0 = tracer.now();
-        let stepped = match supervised_step(
-            state,
-            self.model.as_deref(),
-            self.fallback.as_deref(),
-            self.shard,
-            nth,
-            pkt,
-            &self.faults,
-            &mut self.fallbacks,
-        ) {
+        let stepped = match supervised_step(state, self.shard, nth, pkt, &self.faults) {
             Ok(out) => {
                 self.fail_streak = 0;
                 Some(out)
@@ -870,9 +795,6 @@ pub struct ShardRun {
     pub restarts: u64,
     /// Failed enqueue attempts (ring full) absorbed by dispatch backoff.
     pub retries: u64,
-    /// Per-packet compiled→model fallbacks (each is a recorded
-    /// divergence; the run continues).
-    pub fallbacks: u64,
     /// Packets forwarded (processed and not dropped by the NF) —
     /// counted even when per-packet outputs are not retained
     /// ([`RunConfig::keep_outputs`] = false).
@@ -953,7 +875,6 @@ impl ShardRun {
             dropped: self.dropped_seqs.len() as u64,
             restarts: self.restarts,
             retries: self.retries,
-            fallbacks: self.fallbacks,
             migrations: self.migrations,
         }
     }
@@ -974,7 +895,6 @@ impl ShardRun {
             ("dropped".into(), int(faults.dropped)),
             ("restarts".into(), int(faults.restarts)),
             ("retries".into(), int(faults.retries)),
-            ("fallbacks".into(), int(faults.fallbacks)),
             ("migrations".into(), int(faults.migrations)),
             ("makespan_ns".into(), int(self.makespan_ns())),
             ("telemetry".into(), stats.to_json(&self.per_shard_pkts, &self.busy_ns)),
@@ -990,10 +910,6 @@ pub struct ShardEngine {
     report: ShardingReport,
     tracer: Tracer,
     proto: BackendState,
-    model: Option<Arc<Model>>,
-    /// The compiled backend's per-packet escape hatch: the reference
-    /// model plus the t=0 `ModelState` it was compiled against.
-    fallback: Option<Arc<(Model, ModelState)>>,
     policy: SupervisorPolicy,
     telemetry: TelemetryConfig,
 }
@@ -1026,8 +942,6 @@ impl ShardEngine {
                     report: lint.sharding,
                     tracer: pipeline.tracer().clone(),
                     proto: BackendState::Interp(interp),
-                    model: None,
-                    fallback: None,
                     policy: SupervisorPolicy::default(),
                     telemetry: TelemetryConfig::default(),
                 })
@@ -1057,16 +971,12 @@ impl ShardEngine {
         let interp =
             Interp::new(&syn.nf_loop).map_err(|e| ShardError::Build(e.to_string()))?;
         let tracer = pipeline.tracer().clone();
-        let (proto, model, fallback) = match backend {
-            Backend::Interp => (BackendState::Interp(interp), None, None),
-            Backend::Model => {
-                let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
-                (
-                    BackendState::Model(init),
-                    Some(Arc::new(syn.model.clone())),
-                    None,
-                )
-            }
+        let proto = match backend {
+            Backend::Interp => BackendState::Interp(interp),
+            Backend::Model => BackendState::Model {
+                model: Arc::new(syn.model.clone()),
+                state: nfactor_core::accuracy::initial_model_state(syn, &interp),
+            },
             Backend::Compiled => {
                 let init = nfactor_core::accuracy::initial_model_state(syn, &interp);
                 let t0 = Instant::now();
@@ -1075,15 +985,10 @@ impl ShardEngine {
                 tracer.observe_ns("compile.ns", t0.elapsed().as_nanos() as u64);
                 tracer.count("compiled.nodes", prog.node_count() as u64);
                 tracer.count("compiled.table.entries", prog.entry_count() as u64);
-                let state = nf_compile::CompiledState::new(&prog);
-                (
-                    BackendState::Compiled {
-                        prog: Arc::new(prog),
-                        state,
-                    },
-                    None,
-                    Some(Arc::new((syn.model.clone(), init))),
-                )
+                BackendState::Compiled {
+                    state: CompiledState::new(&prog),
+                    prog: Arc::new(prog),
+                }
             }
         };
         Ok(ShardEngine {
@@ -1093,8 +998,6 @@ impl ShardEngine {
             report: lint.sharding,
             tracer,
             proto,
-            model,
-            fallback,
             policy: SupervisorPolicy::default(),
             telemetry: TelemetryConfig::default(),
         })
@@ -1251,8 +1154,6 @@ impl ShardEngine {
         let label = self.proto.label();
         ShardWorker {
             shard,
-            model: self.model.clone(),
-            fallback: self.fallback.clone(),
             faults: faults.clone(),
             policy: self.policy,
             label,
@@ -1264,7 +1165,6 @@ impl ShardEngine {
             quarantine: Quarantine::new(self.policy.quarantine_cap),
             fail_streak: 0,
             restarts: 0,
-            fallbacks: 0,
             tel: telemetry_on.then(|| WorkerTelemetry::new(shard, label, &self.telemetry)),
         }
     }
@@ -1472,7 +1372,7 @@ impl ShardEngine {
             .iter_mut()
             .filter_map(|w| w.tel.take().map(|t| t.finish(&self.tracer)))
             .collect();
-        let (quarantined, quarantined_seqs, restarts, fallbacks) =
+        let (quarantined, quarantined_seqs, restarts) =
             self.fold_faults(&mut workers, &d.retries, &d.dropped_per_shard);
         d.dropped_seqs.sort_unstable();
         let migrations = d.rebalancer.migrations;
@@ -1500,7 +1400,6 @@ impl ShardEngine {
             dropped_seqs: d.dropped_seqs,
             restarts,
             retries: d.retries.iter().sum(),
-            fallbacks,
             forwarded: workers.iter().map(|w| w.forwarded).sum(),
             migrations,
             dispatch_ns: d.dispatch_ns,
@@ -1509,20 +1408,18 @@ impl ShardEngine {
         })
     }
 
-    /// Drain the workers' quarantine/restart/fallback accounting,
-    /// emitting nonzero per-shard supervision metrics along the way.
-    /// Returns (records sorted by seq and capped, sorted seqs, restarts,
-    /// fallbacks).
+    /// Drain the workers' quarantine/restart accounting, emitting
+    /// nonzero per-shard supervision metrics along the way. Returns
+    /// (records sorted by seq and capped, sorted seqs, restarts).
     fn fold_faults(
         &self,
         workers: &mut [ShardWorker],
         retries: &[u64],
         dropped_per_shard: &[u64],
-    ) -> (Vec<QuarantineRecord>, Vec<u64>, u64, u64) {
+    ) -> (Vec<QuarantineRecord>, Vec<u64>, u64) {
         let mut records = Vec::new();
         let mut seqs = Vec::new();
         let mut restarts = 0u64;
-        let mut fallbacks = 0u64;
         for (w, worker) in workers.iter_mut().enumerate() {
             let (mut r, mut q) = std::mem::take(&mut worker.quarantine).into_parts();
             if !q.is_empty() {
@@ -1536,7 +1433,6 @@ impl ShardEngine {
             records.append(&mut r);
             seqs.append(&mut q);
             restarts += worker.restarts;
-            fallbacks += worker.fallbacks;
         }
         for (w, r) in retries.iter().enumerate() {
             if *r > 0 {
@@ -1548,13 +1444,10 @@ impl ShardEngine {
                 self.tracer.count(&format!("shard.{w}.dropped"), *d);
             }
         }
-        if fallbacks > 0 {
-            self.tracer.count("backend.fallbacks", fallbacks);
-        }
         records.sort_by_key(|r| r.seq);
         records.truncate(self.policy.quarantine_cap);
         seqs.sort_unstable();
-        (records, seqs, restarts, fallbacks)
+        (records, seqs, restarts)
     }
 }
 
@@ -1908,20 +1801,20 @@ mod tests {
     }
 
     #[test]
-    fn compiled_error_falls_back_to_model_and_continues() {
+    fn compiled_error_is_quarantined_like_every_backend() {
         let engine =
             ShardEngine::from_source(&pipeline("rl", 2), RATELIMITER_ISH, Backend::Compiled)
                 .unwrap();
         let packets = PacketGen::new(11).batch(120);
         let faults = FaultPlan::parse("err@0:2,err@1:5").unwrap();
         let run = engine.run_with(SliceSource::new(&packets), &RunConfig::threaded().with_faults(faults.clone())).unwrap();
-        // The compiled engine's injected errors retried on the model
-        // evaluator: nothing quarantined, outputs exactly fault-free.
-        assert_eq!(run.fallbacks, 2);
-        assert!(run.quarantined_seqs.is_empty());
-        let clean = engine.run_with(SliceSource::new(&packets), &RunConfig::threaded()).unwrap();
-        assert_eq!(run.output_signature(), clean.output_signature());
-        assert_eq!(run.merged, clean.merged);
+        // Each injected compiled-engine error is quarantined, exactly as
+        // on interp and model, and the survivors match a fault-free run.
+        assert_eq!(run.quarantined_seqs.len(), 2);
+        assert_eq!(run.quarantined.len(), 2);
+        assert!(run.quarantined.iter().all(|r| r.backend == "compiled"));
+        assert_eq!(run.offered(), 120);
+        assert_matches_reference(&engine, &packets, &run);
     }
 
     /// A shared-state NF: every new source takes the next id, so the

@@ -26,9 +26,8 @@
 //!
 //! * `panic` — the worker panics mid-eval; the supervision layer must
 //!   catch it, roll back, and quarantine the packet.
-//! * `err` — the evaluator reports a synthetic runtime error; on the
-//!   compiled backend this exercises the compiled→model fallback, on
-//!   the other backends the quarantine.
+//! * `err` — the evaluator reports a synthetic runtime error; every
+//!   backend quarantines the packet the same way.
 //! * `delay` — the worker stalls before eval (exposes ordering bugs and
 //!   ring back-pressure; never changes observable output).
 //! * `ring-overflow` — the dispatcher sees the shard's ring as full for

@@ -80,6 +80,25 @@ if [ -z "$pkts" ] || [ "$((pkts + quarantined))" -ne "$offered" ]; then
 fi
 echo "    1 packet quarantined, $pkts of $offered processed: ok"
 
+echo "==> chaos smoke: compiled-engine error is quarantined like every backend"
+# The compiled backend has no second evaluator: an eval error is undone
+# from its undo log and quarantined, exactly as on interp and model.
+out=$(./target/release/nfactor run --corpus fig1-lb --backend compiled --shards 4 \
+    --fault-plan 'err@1:3')
+quarantined=$(printf '%s\n' "$out" | awk '/^quarantined/ {print $3}')
+offered=$(printf '%s\n' "$out" | awk '/^offered/ {print $3}')
+pkts=$(printf '%s\n' "$out" | awk '/^packets/ {print $3}')
+if [ "$quarantined" != "1" ]; then
+    echo "    expected exactly 1 quarantined packet, got '$quarantined':"; echo "$out"; exit 1
+fi
+if [ -z "$pkts" ] || [ "$((pkts + quarantined))" -ne "$offered" ]; then
+    echo "    packets ($pkts) + quarantined ($quarantined) != offered ($offered)"; exit 1
+fi
+if printf '%s\n' "$out" | grep -q '^fallbacks'; then
+    echo "    unexpected fallbacks line:"; echo "$out"; exit 1
+fi
+echo "    compiled error quarantined, $pkts of $offered processed: ok"
+
 echo "==> chaos differential: faulted runs match fault-free references"
 # Every corpus NF x backend x shards {1,4} x fixed fault plans: the
 # surviving packets and merged state must be byte-identical to a

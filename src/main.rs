@@ -361,7 +361,6 @@ fn run_shards(
         outln(format!("ring-dropped   : {}", summary.dropped));
         outln(format!("restarts       : {}", summary.restarts));
         outln(format!("retries        : {}", summary.retries));
-        outln(format!("fallbacks      : {}", summary.fallbacks));
         if summary.migrations > 0 {
             outln(format!("migrations     : {}", summary.migrations));
         }

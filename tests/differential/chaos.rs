@@ -11,7 +11,7 @@
 //! (reference seqs shift left past each hole) and state equality is
 //! full: both sides run the same backend.
 
-use crate::harness::{engines_from_synthesis, mode_config, DiffEngine, Mode};
+use crate::harness::{engines_from_synthesis, mode_config, reply_stream, DiffEngine, Mode};
 use nfactor::packet::{Packet, PacketGen};
 use nfactor::shard::Backend;
 use nfactor::shard::{RunConfig, SliceSource};
@@ -38,19 +38,22 @@ fn run_under_faults(de: &DiffEngine, mode: Mode, packets: &[Packet], faults: &Fa
 }
 
 fn chaos(name: &str, src: &str) {
+    chaos_on(name, src, &PacketGen::new(SEED).batch(PACKETS));
+}
+
+fn chaos_on(name: &str, src: &str, packets: &[Packet]) {
     let (_, engines) = engines_from_synthesis(
         name,
         src,
         &[Backend::Interp, Backend::Model, Backend::Compiled],
         &[1, 4],
     );
-    let packets = PacketGen::new(SEED).batch(PACKETS);
     for spec in PLANS {
         let faults = FaultPlan::parse(spec)
             .unwrap_or_else(|e| panic!("{name}: plan `{spec}`: {e}"));
         for de in &engines {
             for mode in [Mode::Threaded, Mode::Sequential] {
-                let run = run_under_faults(de, mode, &packets, &faults).unwrap_or_else(|e| {
+                let run = run_under_faults(de, mode, packets, &faults).unwrap_or_else(|e| {
                     panic!("{name}: {}/{mode:?} under `{spec}`: {e}", de.label)
                 });
                 // Accounting: nothing vanishes without a ledger entry.
@@ -108,6 +111,17 @@ fn chaos(name: &str, src: &str) {
 #[test]
 fn chaos_firewall() {
     chaos("firewall", &nfactor::corpus::firewall::source());
+}
+
+/// Faults contained on reply-direction traffic: the firewall's inbound
+/// branch and pinhole lookup under every plan, backend and shard count.
+#[test]
+fn chaos_firewall_replies() {
+    chaos_on(
+        "firewall",
+        &nfactor::corpus::firewall::source(),
+        &reply_stream(SEED, PACKETS),
+    );
 }
 
 #[test]

@@ -9,8 +9,9 @@
 
 use nfactor::core::{Pipeline, Synthesis};
 use nfactor::interp::Value;
-use nfactor::packet::Packet;
+use nfactor::packet::{Field, Packet, PacketGen};
 use nfactor::shard::{Backend, RunConfig, ShardEngine, ShardRun, SliceSource};
+use nfactor::support::rng::Rng;
 use std::collections::BTreeMap;
 
 /// How to drive an engine.
@@ -42,6 +43,41 @@ pub struct DiffEngine {
     pub label: String,
     /// The engine.
     pub engine: ShardEngine,
+}
+
+/// `n` packets that reach an NF's reply-direction paths. Every source
+/// in the default `PacketGen` stream is a 10.0.0.0/8 client, so that
+/// stream never drives an inbound branch, and the symmetric dispatch
+/// key never routes a real reply. Here about a third of the packets
+/// are mirrored replies of earlier packets (IP src/dst and ports
+/// swapped), about a third are outside-origin packets (a server
+/// address sending to a client), and the rest are the default stream.
+pub fn reply_stream(seed: u64, n: usize) -> Vec<Packet> {
+    let mut gen = PacketGen::new(seed);
+    let mut rng = Rng::new(seed);
+    let mut out: Vec<Packet> = Vec::with_capacity(n);
+    while out.len() < n {
+        let mut p = gen.next_packet();
+        match rng.gen_index(3) {
+            0 if !out.is_empty() => p = mirrored(&out[rng.gen_index(out.len())]),
+            1 => std::mem::swap(&mut p.ip_src, &mut p.ip_dst),
+            _ => {}
+        }
+        out.push(p);
+    }
+    out
+}
+
+/// `p` sent back the other way: IP addresses and ports swapped.
+fn mirrored(p: &Packet) -> Packet {
+    let mut r = p.clone();
+    std::mem::swap(&mut r.ip_src, &mut r.ip_dst);
+    let (sport, dport) = (p.get(Field::TcpSport), p.get(Field::TcpDport));
+    if let (Ok(sport), Ok(dport)) = (sport, dport) {
+        r.set(Field::TcpSport, dport).expect("a port fits a port");
+        r.set(Field::TcpDport, sport).expect("a port fits a port");
+    }
+    r
 }
 
 pub fn backend_label(b: Backend) -> &'static str {

@@ -10,18 +10,32 @@
 //! key; the shared NFs (fig1-lb, nat, balance) exercise the
 //! global-lock fallback.
 
-use crate::harness::{for_each_backend_pair, DiffEngine, Mode, StateScope};
+use crate::harness::{for_each_backend_pair, reply_stream, DiffEngine, Mode, StateScope};
 use nfactor::core::Pipeline;
-use nfactor::packet::{Field, PacketGen};
-use nfactor::shard::{Backend, ShardEngine};
+use nfactor::interp::Value;
+use nfactor::packet::{Field, Packet, PacketGen};
+use nfactor::shard::{Backend, RunConfig, ShardEngine, SliceSource};
 
 const SHARDS: usize = 4;
 const PACKETS: usize = 400;
 
 fn oracle(name: &str, src: &str, expect_partitioned: bool) {
+    let packets = PacketGen::new(0xD1FF).batch(PACKETS);
+    oracle_on(name, src, expect_partitioned, SHARDS, &packets);
+}
+
+/// The oracle at `shards` shards over a given stream; returns the
+/// engine for follow-up checks.
+fn oracle_on(
+    name: &str,
+    src: &str,
+    expect_partitioned: bool,
+    shards: usize,
+    packets: &[Packet],
+) -> ShardEngine {
     let pipeline = Pipeline::builder()
         .name(name)
-        .shards(SHARDS)
+        .shards(shards)
         .build()
         .unwrap_or_else(|e| panic!("{name}: builder: {e}"));
     let engine = ShardEngine::from_source(&pipeline, src, Backend::Interp)
@@ -32,23 +46,62 @@ fn oracle(name: &str, src: &str, expect_partitioned: bool) {
         "{name}: unexpected plan mode: {}",
         engine.plan().render_table()
     );
-    let packets = PacketGen::new(0xD1FF).batch(PACKETS);
+    let engines = [DiffEngine {
+        label: format!("interp/{shards}"),
+        engine,
+    }];
     for_each_backend_pair(
         name,
-        &[DiffEngine {
-            label: format!("interp/{SHARDS}"),
-            engine,
-        }],
+        &engines,
         // Single first: it is the reference the other two must match.
         &[Mode::Single, Mode::Threaded, Mode::Sequential],
-        &packets,
+        packets,
         &StateScope::Full,
     );
+    let [de] = engines;
+    de.engine
 }
 
 #[test]
 fn shard_differential_firewall() {
     oracle("firewall", &nfactor::corpus::firewall::source(), true);
+}
+
+/// Replies route through the firewall's direction-symmetric dispatch
+/// key to the shard that opened their pinhole. Only the 3-shard run can
+/// tell a mirrored key from a plain one: the dispatch hash is FNV-1a
+/// over whole 8-byte fields, and its value mod 2 or mod 4 does not
+/// depend on the order of those fields, so at 4 shards a reply lands
+/// with its flow either way. The stream must provably reach the
+/// inbound branch: both inbound counters move, and some replies pass
+/// through a pinhole.
+#[test]
+fn shard_differential_firewall_replies() {
+    let packets = reply_stream(0xD1FF, PACKETS);
+    let src = nfactor::corpus::firewall::source();
+    oracle_on("firewall", &src, true, 3, &packets);
+    let engine = oracle_on("firewall", &src, true, SHARDS, &packets);
+    let run = engine
+        .run_with(SliceSource::new(&packets), &RunConfig::threaded())
+        .expect("firewall run");
+    for counter in ["in_count", "blocked_count"] {
+        assert!(
+            matches!(run.merged.get(counter), Some(Value::Int(n)) if *n > 0),
+            "firewall reply stream left `{counter}` at {:?}",
+            run.merged.get(counter)
+        );
+    }
+    // Inbound packets to the allow-listed port 80 account for only part
+    // of `in_count`; the rest were admitted through a pinhole.
+    let to_allowed_port = packets
+        .iter()
+        .filter(|p| p.ip_src >> 24 != 10 && p.get(Field::TcpDport) == Ok(80))
+        .count() as i64;
+    assert!(
+        matches!(run.merged.get("in_count"), Some(Value::Int(n)) if *n > to_allowed_port),
+        "no reply went through a pinhole: in_count {:?}, {to_allowed_port} inbound to port 80",
+        run.merged.get("in_count")
+    );
 }
 
 #[test]

@@ -10,14 +10,20 @@
 //! influence forwarding), which is exactly the abstraction the model
 //! is allowed to make.
 
-use crate::harness::{engines_from_synthesis, for_each_backend_pair, Mode, StateScope};
-use nfactor::packet::PacketGen;
+use crate::harness::{
+    engines_from_synthesis, for_each_backend_pair, reply_stream, Mode, StateScope,
+};
+use nfactor::packet::{Packet, PacketGen};
 use nfactor::shard::Backend;
 
 const PACKETS: usize = 250;
 const SEED: u64 = 0x7717;
 
 fn three_way(name: &str, src: &str) {
+    three_way_on(name, src, &PacketGen::new(SEED).batch(PACKETS));
+}
+
+fn three_way_on(name: &str, src: &str, packets: &[Packet]) {
     let (syn, engines) = engines_from_synthesis(
         name,
         src,
@@ -30,7 +36,7 @@ fn three_way(name: &str, src: &str) {
         name,
         &engines,
         &[Mode::Threaded, Mode::Sequential],
-        &PacketGen::new(SEED).batch(PACKETS),
+        packets,
         &StateScope::Restrict(scope),
     );
 }
@@ -38,6 +44,17 @@ fn three_way(name: &str, src: &str) {
 #[test]
 fn three_way_firewall() {
     three_way("firewall", &nfactor::corpus::firewall::source());
+}
+
+/// Reply-direction traffic drives the firewall's inbound branch and
+/// its pinhole lookup on every backend.
+#[test]
+fn three_way_firewall_replies() {
+    three_way_on(
+        "firewall",
+        &nfactor::corpus::firewall::source(),
+        &reply_stream(SEED, PACKETS),
+    );
 }
 
 #[test]

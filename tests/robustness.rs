@@ -9,7 +9,7 @@ use nfactor::model::Completeness;
 use nfactor::packet::PacketGen;
 use nfactor::shard::{Backend, RunConfig, ShardEngine, SliceSource};
 use nfactor::support::budget::Budget;
-use nfactor::support::check::{check, tuple3, uint_range, Config};
+use nfactor::support::check::{check, tuple2, tuple3, uint_range, Config};
 use nfactor::support::fault::FaultPlan;
 use nfactor::support::json::{FromJson, ToJson, Value};
 
@@ -149,29 +149,33 @@ fn snort_with_10ms_deadline_returns_truncated_model() {
 }
 
 /// Property: whatever deterministic faults are injected into whichever
-/// corpus NF at whatever shard count, the supervised runtime never
-/// loses a packet without a ledger entry (`processed + quarantined +
-/// dropped == offered`) and never trips a merge-time
-/// partitioning-violation or resurrection check — containment must not
-/// corrupt state placement.
+/// corpus NF on whichever backend at whatever shard count, the
+/// supervised runtime never loses a packet without a ledger entry
+/// (`processed + quarantined + dropped == offered`) and never trips a
+/// merge-time partitioning-violation or resurrection check —
+/// containment must not corrupt state placement.
 #[test]
 fn random_fault_plans_never_break_accounting_or_merge() {
     let corpus = nfactor::corpus::default_corpus();
     let cfg = Config::with_cases(12);
-    let gen = tuple3(
-        uint_range(0, u64::MAX),
-        uint_range(0, corpus.len() as u64 - 1),
-        uint_range(1, 4),
+    const BACKENDS: [Backend; 3] = [Backend::Interp, Backend::Model, Backend::Compiled];
+    let gen = tuple2(
+        tuple3(
+            uint_range(0, u64::MAX),
+            uint_range(0, corpus.len() as u64 - 1),
+            uint_range(1, 4),
+        ),
+        uint_range(0, 2).map(|i| BACKENDS[i as usize]),
     );
-    check("random_fault_accounting", &cfg, &gen, |&(seed, which, shards)| {
+    check("random_fault_accounting", &cfg, &gen, |&((seed, which, shards), backend)| {
         let nf = &corpus[which as usize];
         let pipeline = Pipeline::builder()
             .name(nf.name)
             .shards(shards as usize)
             .build()
             .unwrap();
-        let engine = ShardEngine::from_source(&pipeline, &nf.source, Backend::Interp)
-            .unwrap_or_else(|e| panic!("{}: {e}", nf.name));
+        let engine = ShardEngine::from_source(&pipeline, &nf.source, backend)
+            .unwrap_or_else(|e| panic!("{} on {backend:?}: {e}", nf.name));
         let packets = PacketGen::new(seed).batch(120);
         let faults = FaultPlan::random(seed, shards as usize, 120, 6);
         for run in [
@@ -187,12 +191,12 @@ fn random_fault_plans_never_break_accounting_or_merge() {
             // A fault plan must never surface as an engine error: the
             // merge checks stay silent and the run completes.
             let run = run.unwrap_or_else(|e| {
-                panic!("{} under `{}`: {e}", nf.name, faults.render())
+                panic!("{} on {backend:?} under `{}`: {e}", nf.name, faults.render())
             });
             assert_eq!(
                 run.offered(),
                 packets.len() as u64,
-                "{} under `{}`: accounting leak",
+                "{} on {backend:?} under `{}`: accounting leak",
                 nf.name,
                 faults.render()
             );
